@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins postmortem-smoke admission-smoke federation-smoke bench-plan bench-plan-shared bench-sim bench-live bench-queue bench-admission bench-federation bench-smoke mutex-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins postmortem-smoke admission-smoke federation-smoke bench-plan bench-plan-shared bench-sim bench-live bench-queue bench-admission bench-federation bench-smoke mutex-smoke bench
 
 build:
 	$(GO) build ./...
@@ -30,26 +30,32 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; gofmt -d $$out; exit 1; fi
 
 # Quick race pass over the hottest concurrent paths: shared-planner
-# coalescing, runner streaming, and the deadline-health tracker fed by
+# coalescing, runner streaming, the deadline-health tracker fed by
 # concurrent heartbeats on both control-plane layouts (plus the introspection
-# server and the heartbeat zero-alloc pin that guards the disabled path).
+# server and the heartbeat zero-alloc pin that guards the disabled path), and
+# the admission pipeline whose anchors and probe memos sit under one mutex
+# shared by every tracker shard.
 race-smoke:
 	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestRunEach|TestDelivery|TestFirstError' \
 		./internal/planner/ ./internal/runner/
 	$(GO) test -race -count=1 -run 'TestHealth|TestIntrospection|TestHeartbeatBareAllocs' \
 		./internal/obs/ ./internal/live/
+	$(GO) test -race -count=1 -run 'TestAdmissionLayouts|TestAdmissionDecisions|TestRecordStreamGolden|TestAnchorMap|TestWarmReRuling|TestMemo' \
+		./internal/admission/ ./internal/live/
 
 # Allocation-budget pins: the arena simulator's steady-state scenario
 # budget (≤3 allocs end to end across both dispatch modes), the obs
-# heartbeat zero-alloc contract, and the queue-op pin (Best/Scheduled/
+# heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL, BST, and Det
-# backends). Run without -race — the race runtime randomizes sync.Pool
+# backends), and the feasible admission pipeline's warm re-ruling of a
+# deferred submission (0 allocs: probe-memo hits and the ledger's reused
+# buffer). Run without -race — the race runtime randomizes sync.Pool
 # reuse and inflates allocation counts, so the pins skip themselves.
 alloc-pins:
 	$(GO) test -count=1 -run 'TestScenarioAllocs|TestHeartbeatBareAllocs' \
 		./internal/cluster/ ./internal/obs/
 	$(GO) test -count=1 -run 'TestQueueOpAllocs' ./internal/dsl/
-	$(GO) test -count=1 -run 'TestAlwaysAdmitAllocs' ./internal/admission/
+	$(GO) test -count=1 -run 'TestAlwaysAdmitAllocs|TestWarmReRulingAllocs' ./internal/admission/
 
 # The CI gate: formatting, static analysis, the tier-1 suite, the
 # concurrency race smoke, and the allocation pins.
@@ -114,6 +120,13 @@ federation-smoke:
 # sweep (Yahoo population, slack router, 4 member clusters).
 bench-federation:
 	$(GO) run ./cmd/wohabench -federation-bench-out BENCH_federation.json
+
+# The repository benchmark (see perfbench/README.md): one workload per run,
+# printing every end-to-end metric by name plus one JSON line. Override the
+# arguments, e.g. make bench BENCH_ARGS="--workload corpus --seed 2 --trace 1".
+BENCH_ARGS ?= --workload frontdoor --seed 1 --seconds 15 --trace 0
+bench:
+	bash perfbench/run.sh $(BENCH_ARGS)
 
 # One-iteration pass over every benchmark: proves they still run without
 # paying for stable timings.

@@ -108,7 +108,8 @@ func loadAdmissionBenchHistory(path string) []admissionBenchHistory {
 }
 
 // runAdmissionBench executes the sweep, measures the decision fast path, and
-// writes the JSON report to path ("-" for stdout), echoing the table to out.
+// writes the JSON report to path ("-" for stdout),
+// echoing the table through emitReport.
 func runAdmissionBench(path string, out io.Writer) error {
 	cfg := experiments.DefaultAdmissionSweepConfig()
 
@@ -162,27 +163,13 @@ func runAdmissionBench(path string, out io.Writer) error {
 		ctrl.Decide(w, nil, now)
 	})
 
-	doc, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if path == "-" {
-		if _, err := out.Write(doc); err != nil {
+	return emitReport(path, out, &report, func(out io.Writer) error {
+		if err := res.Table().Render(out); err != nil {
 			return err
 		}
-	} else if err := os.WriteFile(path, doc, 0o644); err != nil {
-		return err
-	}
-
-	if err := res.Table().Render(out); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "sweep pass: %.1fms, always-admit decision: %dns, %.0f allocs (GOMAXPROCS=%d)\n",
-		float64(report.NsPerSweepPass)/1e6, report.NsPerAlwaysDecision,
-		report.AllocsPerAlwaysDecision, report.GoMaxProcs)
-	if path != "-" {
-		fmt.Fprintf(out, "report written to %s\n", path)
-	}
-	return nil
+		fmt.Fprintf(out, "sweep pass: %.1fms, always-admit decision: %dns, %.0f allocs (GOMAXPROCS=%d)\n",
+			float64(report.NsPerSweepPass)/1e6, report.NsPerAlwaysDecision,
+			report.AllocsPerAlwaysDecision, report.GoMaxProcs)
+		return nil
+	})
 }

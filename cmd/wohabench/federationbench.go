@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -47,7 +45,8 @@ type federationBenchPoint struct {
 }
 
 // runFederationBench executes the staleness sweep and writes the JSON report
-// to path ("-" for stdout), echoing the table to out.
+// to path ("-" for stdout),
+// echoing the table through emitReport.
 func runFederationBench(path string, out io.Writer) error {
 	cfg := experiments.DefaultFederationSweepConfig()
 
@@ -88,26 +87,12 @@ func runFederationBench(path string, out io.Writer) error {
 		})
 	}
 
-	doc, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if path == "-" {
-		if _, err := out.Write(doc); err != nil {
+	return emitReport(path, out, &report, func(out io.Writer) error {
+		if err := res.Table().Render(out); err != nil {
 			return err
 		}
-	} else if err := os.WriteFile(path, doc, 0o644); err != nil {
-		return err
-	}
-
-	if err := res.Table().Render(out); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "sweep pass: %.1fms (GOMAXPROCS=%d)\n",
-		float64(report.NsPerSweepPass)/1e6, report.GoMaxProcs)
-	if path != "-" {
-		fmt.Fprintf(out, "report written to %s\n", path)
-	}
-	return nil
+		fmt.Fprintf(out, "sweep pass: %.1fms (GOMAXPROCS=%d)\n",
+			float64(report.NsPerSweepPass)/1e6, report.GoMaxProcs)
+		return nil
+	})
 }

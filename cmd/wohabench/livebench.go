@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -148,7 +146,8 @@ func liveBenchMeasure(name string, shards, trackers int) (liveBenchMode, error) 
 }
 
 // runLiveBench sweeps both tracker layouts across the tracker counts and
-// writes the JSON report to path ("-" for stdout), echoing a summary to out.
+// writes the JSON report to path ("-" for stdout),
+// echoing a summary through emitReport.
 func runLiveBench(path string, out io.Writer) error {
 	var report liveBenchReport
 	report.GoMaxProcs = runtime.GOMAXPROCS(0)
@@ -181,30 +180,16 @@ func runLiveBench(path string, out io.Writer) error {
 		}
 	}
 
-	doc, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if path == "-" {
-		if _, err := out.Write(doc); err != nil {
-			return err
+	return emitReport(path, out, &report, func(out io.Writer) error {
+		fmt.Fprintf(out, "live heartbeat benchmark (%d workflows, %d beats/tracker, GOMAXPROCS=%d):\n",
+			liveBenchFlows, liveBenchBeats, report.GoMaxProcs)
+		for _, m := range report.Modes {
+			fmt.Fprintf(out, "  %-8s shards=%-2d trackers=%-3d %10.0f beats/sec  p50 %6dns  p99 %8dns\n",
+				m.Name, m.Shards, m.Trackers, m.HeartbeatsPerSec, m.P50Ns, m.P99Ns)
 		}
-	} else if err := os.WriteFile(path, doc, 0o644); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "live heartbeat benchmark (%d workflows, %d beats/tracker, GOMAXPROCS=%d):\n",
-		liveBenchFlows, liveBenchBeats, report.GoMaxProcs)
-	for _, m := range report.Modes {
-		fmt.Fprintf(out, "  %-8s shards=%-2d trackers=%-3d %10.0f beats/sec  p50 %6dns  p99 %8dns\n",
-			m.Name, m.Shards, m.Trackers, m.HeartbeatsPerSec, m.P50Ns, m.P99Ns)
-	}
-	if report.Note != "" {
-		fmt.Fprintf(out, "  note: %s\n", report.Note)
-	}
-	if path != "-" {
-		fmt.Fprintf(out, "report written to %s\n", path)
-	}
-	return nil
+		if report.Note != "" {
+			fmt.Fprintf(out, "  note: %s\n", report.Note)
+		}
+		return nil
+	})
 }

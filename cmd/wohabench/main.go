@@ -28,10 +28,14 @@
 //	wohabench -queue-bench-out BENCH_queue.json
 //	wohabench -admission-bench-out BENCH_admission.json
 //	wohabench -federation-bench-out BENCH_federation.json
+//
+// Each -*-bench-out flag takes "-" to print the JSON report on stdout; the
+// text summary then goes to stderr, so stdout parses as JSON.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -469,5 +473,31 @@ func run(fig, timelineDir string, out io.Writer, ins *woha.Instrumentation) erro
 			return err
 		}
 	}
+	return nil
+}
+
+// emitReport writes report as indented JSON to path, or to out when path is
+// "-", then has summary print the human-readable echo. The echo goes to out
+// after a file report (followed by where the file went) and to stderr when
+// the JSON itself went to out, so "-" output parses as one JSON document.
+func emitReport(path string, out io.Writer, report any, summary func(io.Writer) error) error {
+	doc, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	doc = append(doc, '\n')
+	if path == "-" {
+		if _, err := out.Write(doc); err != nil {
+			return err
+		}
+		return summary(os.Stderr)
+	}
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		return err
+	}
+	if err := summary(out); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "report written to %s\n", path)
 	return nil
 }

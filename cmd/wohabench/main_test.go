@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -164,5 +165,41 @@ func TestRunFig13bAndTimelines(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "timelines written") {
 		t.Errorf("missing timeline confirmation:\n%s", sb.String())
+	}
+}
+
+// TestBenchOutStdoutIsJSON pins the "-" path of the report writers: stdout
+// must carry exactly one JSON document, with the text summary on
+// stderr (shared by every writer through emitReport).
+func TestBenchOutStdoutIsJSON(t *testing.T) {
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
+
+	var stdout bytes.Buffer
+	if err := runFederationBench("-", &stdout); err != nil {
+		t.Fatal(err)
+	}
+	var report federationBenchReport
+	dec := json.NewDecoder(&stdout)
+	if err := dec.Decode(&report); err != nil {
+		t.Fatalf("stdout is not JSON: %v", err)
+	}
+	if len(report.Points) == 0 {
+		t.Fatal("decoded report has no points")
+	}
+	if dec.More() {
+		t.Fatal("stdout carries more than the JSON report")
+	}
+	summary, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(summary), "sweep pass:") {
+		t.Errorf("summary missing from stderr:\n%s", summary)
 	}
 }

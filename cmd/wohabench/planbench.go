@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -110,7 +108,8 @@ func planBenchCorpus() ([]*workflow.Workflow, error) {
 }
 
 // runPlanBench measures the three configurations and writes the JSON report
-// to path ("-" for stdout), echoing a summary table to out.
+// to path ("-" for stdout),
+// echoing a summary table through emitReport.
 func runPlanBench(path string, out io.Writer) error {
 	flows, err := planBenchCorpus()
 	if err != nil {
@@ -189,41 +188,27 @@ func runPlanBench(path string, out io.Writer) error {
 		return err
 	}
 
-	doc, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if path == "-" {
-		if _, err := out.Write(doc); err != nil {
-			return err
+	return emitReport(path, out, &report, func(out io.Writer) error {
+		fmt.Fprintf(out, "plan benchmark (%d workflows, %d map + %d reduce slots, GOMAXPROCS=%d):\n",
+			len(flows), planBenchCluster.Maps, planBenchCluster.Reduces, report.GoMaxProcs)
+		for _, m := range report.Modes {
+			fmt.Fprintf(out, "  %-11s %10.0f plans/sec  %7d allocs/plan  %6.1f avg simulations/plan\n",
+				m.Name, m.PlansPerSec, m.AllocsPerPlan, m.AvgSearchIters)
 		}
-	} else if err := os.WriteFile(path, doc, 0o644); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "plan benchmark (%d workflows, %d map + %d reduce slots, GOMAXPROCS=%d):\n",
-		len(flows), planBenchCluster.Maps, planBenchCluster.Reduces, report.GoMaxProcs)
-	for _, m := range report.Modes {
-		fmt.Fprintf(out, "  %-11s %10.0f plans/sec  %7d allocs/plan  %6.1f avg simulations/plan\n",
-			m.Name, m.PlansPerSec, m.AllocsPerPlan, m.AvgSearchIters)
-	}
-	fmt.Fprintf(out, "  speedup: parallel %.2fx, warm cache %.2fx (vs sequential)\n",
-		report.SpeedupParallel, report.SpeedupWarmCache)
-	sw := report.Fig8Sweep
-	fmt.Fprintf(out, "  fig8 sweep (%d cells, %d WOHA, %d passes): shared planner %.2fx vs per-cell; "+
-		"%d plans = %d simulated + %d hits + %d coalesced, %d duplicate fills; "+
-		"figures identical %v; first row streamed after %d/%d cells\n",
-		sw.Cells, sw.WohaCells, sw.Passes, sw.SpeedupShared,
-		sw.PlansServed, sw.DistinctKeysSimulated, sw.CacheHits, sw.Coalesced, sw.DuplicateFills,
-		sw.FiguresByteIdentical, sw.CellsDoneAtFirstRow, sw.Cells)
-	fmt.Fprintf(out, "  contended (%d goroutines on one warm planner): %.0f plans/sec, %.2fx vs sequential generation, %d duplicate fills\n",
-		report.Contended.Goroutines, report.Contended.PlansPerSec,
-		report.Contended.SpeedupVsSequential, report.Contended.DuplicateFills)
-	if path != "-" {
-		fmt.Fprintf(out, "report written to %s\n", path)
-	}
-	return nil
+		fmt.Fprintf(out, "  speedup: parallel %.2fx, warm cache %.2fx (vs sequential)\n",
+			report.SpeedupParallel, report.SpeedupWarmCache)
+		sw := report.Fig8Sweep
+		fmt.Fprintf(out, "  fig8 sweep (%d cells, %d WOHA, %d passes): shared planner %.2fx vs per-cell; "+
+			"%d plans = %d simulated + %d hits + %d coalesced, %d duplicate fills; "+
+			"figures identical %v; first row streamed after %d/%d cells\n",
+			sw.Cells, sw.WohaCells, sw.Passes, sw.SpeedupShared,
+			sw.PlansServed, sw.DistinctKeysSimulated, sw.CacheHits, sw.Coalesced, sw.DuplicateFills,
+			sw.FiguresByteIdentical, sw.CellsDoneAtFirstRow, sw.Cells)
+		fmt.Fprintf(out, "  contended (%d goroutines on one warm planner): %.0f plans/sec, %.2fx vs sequential generation, %d duplicate fills\n",
+			report.Contended.Goroutines, report.Contended.PlansPerSec,
+			report.Contended.SpeedupVsSequential, report.Contended.DuplicateFills)
+		return nil
+	})
 }
 
 // planBenchSweepSection compares the 18-cell Fig 8 corpus planned per-cell

@@ -10,11 +10,9 @@ package main
 // timing loop runs.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -95,7 +93,8 @@ func measureQueueOps(mk func() dsl.Queue, n int) queueBenchPoint {
 }
 
 // runQueueBench measures every backend at every population and writes the
-// JSON report to path ("-" for stdout), echoing a summary table to out.
+// JSON report to path ("-" for stdout),
+// echoing a summary table through emitReport.
 func runQueueBench(path string, out io.Writer) error {
 	backends := []struct {
 		name string
@@ -119,27 +118,13 @@ func runQueueBench(path string, out io.Writer) error {
 		}
 	}
 
-	doc, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if path == "-" {
-		if _, err := out.Write(doc); err != nil {
-			return err
+	return emitReport(path, out, &report, func(out io.Writer) error {
+		fmt.Fprintf(out, "queue benchmark (%s, GOMAXPROCS=%d):\n", report.Op, report.GoMaxProcs)
+		fmt.Fprintf(out, "  %-6s %10s %14s %12s %10s\n", "queue", "queued", "ops/sec", "ns/op", "allocs/op")
+		for _, p := range report.Points {
+			fmt.Fprintf(out, "  %-6s %10d %14.0f %12d %10.1f\n",
+				p.Backend, p.Queued, p.OpsPerSec, p.NsPerOp, p.AllocsPerOp)
 		}
-	} else if err := os.WriteFile(path, doc, 0o644); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "queue benchmark (%s, GOMAXPROCS=%d):\n", report.Op, report.GoMaxProcs)
-	fmt.Fprintf(out, "  %-6s %10s %14s %12s %10s\n", "queue", "queued", "ops/sec", "ns/op", "allocs/op")
-	for _, p := range report.Points {
-		fmt.Fprintf(out, "  %-6s %10d %14.0f %12d %10.1f\n",
-			p.Backend, p.Queued, p.OpsPerSec, p.NsPerOp, p.AllocsPerOp)
-	}
-	if path != "-" {
-		fmt.Fprintf(out, "report written to %s\n", path)
-	}
-	return nil
+		return nil
+	})
 }

@@ -229,7 +229,8 @@ func (p *benchPinPolicy) NextTask(_ simtime.Time, st cluster.SlotType) (*cluster
 }
 
 // runSimBench measures the corpus serially and over an 8-worker pool and
-// writes the JSON report to path ("-" for stdout), echoing a summary to out.
+// writes the JSON report to path ("-" for stdout),
+// echoing a summary through emitReport.
 func runSimBench(path string, out io.Writer) error {
 	cells, err := simBenchCells()
 	if err != nil {
@@ -291,40 +292,26 @@ func runSimBench(path string, out io.Writer) error {
 		return err
 	}
 
-	doc, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if path == "-" {
-		if _, err := out.Write(doc); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(path, doc, 0o644); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "sim benchmark (%d cells, %d simulated events/pass, GOMAXPROCS=%d, core=%s):\n",
-		len(cells), report.Corpus.EventsPerPass, report.GoMaxProcs, report.Core)
-	for _, m := range report.Modes {
-		before := ""
-		// Show the newest prior-generation figure for this mode as the
-		// "before" column of the core progression.
-		for _, h := range report.History {
-			if h.Mode == m.Name && h.Core != report.Core {
-				before = fmt.Sprintf("  (was %.0f ns/event on %s)", h.NsPerSimEvent, h.Core)
+	return emitReport(path, out, &report, func(out io.Writer) error {
+		fmt.Fprintf(out, "sim benchmark (%d cells, %d simulated events/pass, GOMAXPROCS=%d, core=%s):\n",
+			len(cells), report.Corpus.EventsPerPass, report.GoMaxProcs, report.Core)
+		for _, m := range report.Modes {
+			before := ""
+			// Show the newest prior-generation figure for this mode as the
+			// "before" column of the core progression.
+			for _, h := range report.History {
+				if h.Mode == m.Name && h.Core != report.Core {
+					before = fmt.Sprintf("  (was %.0f ns/event on %s)", h.NsPerSimEvent, h.Core)
+				}
 			}
+			fmt.Fprintf(out, "  %-11s %8.1f scenarios/sec  %6.0f ns/simulated-event%s\n",
+				m.Name, m.ScenariosPerSec, m.NsPerSimEvent, before)
 		}
-		fmt.Fprintf(out, "  %-11s %8.1f scenarios/sec  %6.0f ns/simulated-event%s\n",
-			m.Name, m.ScenariosPerSec, m.NsPerSimEvent, before)
-	}
-	fmt.Fprintf(out, "  speedup: parallel-8 %.2fx (vs serial)\n", report.SpeedupParallel)
-	fmt.Fprintf(out, "  steady-state allocs/scenario: %.1f\n", report.AllocsPerScenario)
-	if report.Note != "" {
-		fmt.Fprintf(out, "  note: %s\n", report.Note)
-	}
-	if path != "-" {
-		fmt.Fprintf(out, "report written to %s\n", path)
-	}
-	return nil
+		fmt.Fprintf(out, "  speedup: parallel-8 %.2fx (vs serial)\n", report.SpeedupParallel)
+		fmt.Fprintf(out, "  steady-state allocs/scenario: %.1f\n", report.AllocsPerScenario)
+		if report.Note != "" {
+			fmt.Fprintf(out, "  note: %s\n", report.Note)
+		}
+		return nil
+	})
 }

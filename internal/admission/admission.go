@@ -205,6 +205,7 @@ func New(cfg Config) (Controller, error) {
 		ledger:  NewLedger(cfg.Cluster),
 		buckets: make(map[string]*bucket),
 		anchors: make(map[wfKey]anchor),
+		memos:   make(map[wfKey]*probeMemo),
 		stats:   cfg.Obs.NewAdmissionStats(cfg.Mode),
 	}
 	return p, nil
@@ -229,6 +230,41 @@ func keyOf(w *workflow.Workflow) wfKey {
 type anchor struct {
 	at     simtime.Time
 	defers int
+}
+
+// probeMemo holds what a submission's rulings compute that does not depend
+// on the ledger: its job ranks and the typed makespan at every cap probed so
+// far. A deferred workflow is ruled on again at each retry instant, and its
+// probes mostly revisit caps an earlier ruling already simulated; the memo
+// answers those without re-running Algorithm 1. It lives in the pipeline's
+// memos map under the same key and lifetime as the defer anchor.
+type probeMemo struct {
+	w       *workflow.Workflow
+	ranks   []int
+	rankErr error
+	spans   []probeSpan
+}
+
+// probeSpan is one memoized probe: plan.TypedMakespan's result at caps.
+type probeSpan struct {
+	caps     plan.Caps
+	makespan time.Duration
+	err      error
+}
+
+// makespan returns the typed makespan of the memo's workflow at caps,
+// simulating only on the first probe of those caps. The list stays small —
+// a submission probes a few dozen distinct caps over its whole defer chain —
+// so a linear scan beats hashing.
+func (m *probeMemo) makespan(caps plan.Caps) (time.Duration, error) {
+	for _, s := range m.spans {
+		if s.caps == caps {
+			return s.makespan, s.err
+		}
+	}
+	ms, err := plan.TypedMakespan(m.w, caps, m.ranks)
+	m.spans = append(m.spans, probeSpan{caps: caps, makespan: ms, err: err})
+	return ms, err
 }
 
 // maxDeferrals bounds a workflow's defer chain; past it the pipeline rejects
@@ -260,8 +296,31 @@ type pipeline struct {
 	ledger  *Ledger
 	buckets map[string]*bucket
 	anchors map[wfKey]anchor
+	memos   map[wfKey]*probeMemo
 	records []Record
 	stats   *obs.AdmissionStats
+}
+
+// memoFor returns w's probe memo, ranking its jobs once per submission. A
+// different *Workflow under the same key is a new submission and replaces
+// the entry, so makespans are never served for the wrong job set.
+func (p *pipeline) memoFor(w *workflow.Workflow) *probeMemo {
+	k := keyOf(w)
+	if m := p.memos[k]; m != nil && m.w == w {
+		return m
+	}
+	ranks, err := p.cfg.Policy.Rank(w)
+	m := &probeMemo{w: w, ranks: ranks, rankErr: err}
+	p.memos[k] = m
+	return m
+}
+
+// memoCount reports the live probe-memo entries; like anchorCount it must
+// return to zero once every submission has reached a terminal ruling.
+func (p *pipeline) memoCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.memos)
 }
 
 // anchorCount reports the live defer-anchor entries — one per currently
@@ -301,10 +360,11 @@ func (p *pipeline) Decide(w *workflow.Workflow, pl *plan.Plan, now simtime.Time)
 		p.anchors[keyOf(w)] = anchor{at: d.RetryAt, defers: a.defers + 1}
 	default:
 		// Every terminal ruling — Admit, any stage's Reject, the
-		// deferral-limit Reject — drops the anchor here, so the map is
-		// bounded by the number of currently deferred submissions and a
-		// long-lived daemon cannot accrete entries.
+		// deferral-limit Reject — drops the anchor and the probe memo here,
+		// so both maps are bounded by the number of currently deferred
+		// submissions and a long-lived daemon cannot accrete entries.
 		delete(p.anchors, keyOf(w))
+		delete(p.memos, keyOf(w))
 	}
 	p.mu.Unlock()
 	dur := time.Since(t0)
@@ -446,50 +506,51 @@ func minCommitTotal(w *workflow.Workflow) int { return 2 }
 // feasibilityStage reuses the planner's cap search against uncommitted
 // capacity: admit at the minimal feasible cap (committing it), defer to the
 // earliest commitment end that would make the deadline reachable, or reject
-// with the earliest feasible deadline as a counter-offer.
+// with the earliest feasible deadline as a counter-offer. Every probe goes
+// through the submission's memo.
 func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simtime.Time) (Decision, plan.Caps) {
 	budget := w.Deadline.Sub(at)
 	if budget <= 0 {
 		return Decision{Verdict: Reject, Reason: "deadline-passed"}, plan.Caps{}
 	}
+	m := p.memoFor(w)
 	free := p.ledger.FreeOver(at, w.Deadline, eff)
 	if free.Maps < 1 || free.Reduces < 1 {
-		return p.deferOrReject(w, eff, at, free, simtime.Epoch)
+		return p.deferOrReject(w, m, eff, at, free, simtime.Epoch)
 	}
-	ranks, err := p.cfg.Policy.Rank(w)
-	if err != nil {
-		return Decision{Verdict: Reject, Reason: "unrankable: " + err.Error()}, free
+	if m.rankErr != nil {
+		return Decision{Verdict: Reject, Reason: "unrankable: " + m.rankErr.Error()}, free
 	}
-	full, err := plan.GenerateTyped(w, free, p.cfg.Policy.Name(), ranks)
+	full, err := m.makespan(free)
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
 	}
-	offer := at.Add(full.Makespan)
-	if full.Makespan > budget {
-		return p.deferOrReject(w, eff, at, free, offer)
+	offer := at.Add(full)
+	if full > budget {
+		return p.deferOrReject(w, m, eff, at, free, offer)
 	}
 	// Feasible: search the smallest slice of the free capacity that still
 	// makes the (margin-discounted) budget, exactly as plan generation does.
 	target := time.Duration(p.cfg.Margin * float64(budget))
-	if full.Makespan > target {
+	if full > target {
 		target = budget
 	}
-	best, _, err := plan.SequentialSearch(2, free.Total(), target, func(mid int) (*plan.Plan, error) {
-		return plan.GenerateTyped(w, plan.TypedCapsFor(free, mid), p.cfg.Policy.Name(), ranks)
+	best, span, _, err := plan.Bisect(2, free.Total(), target, func(mid int) (time.Duration, error) {
+		return m.makespan(plan.TypedCapsFor(free, mid))
 	})
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
 	}
-	if best == nil {
-		best = full
+	if best == 0 {
+		best, span = free.Total(), full
 	}
-	caps := plan.TypedCapsFor(free, best.Cap)
-	if best.Cap >= free.Total() {
+	caps := plan.TypedCapsFor(free, best)
+	if best >= free.Total() {
 		caps = free
 	}
 	if err := p.ledger.Commit(Commitment{
 		Workflow: w.Name, Tenant: w.Tenant,
-		Start: at, End: at.Add(best.Makespan),
+		Start: at, End: at.Add(span),
 		Maps: caps.Maps, Reduces: caps.Reduces,
 	}); err != nil {
 		// Defensive: FreeOver guarantees the window fits, so a conflict here
@@ -502,21 +563,22 @@ func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simt
 // deferOrReject finds the earliest commitment end after which the workflow
 // could still meet its deadline; failing that it rejects, carrying offer (the
 // earliest feasible deadline at current free capacity) when known.
-func (p *pipeline) deferOrReject(w *workflow.Workflow, eff plan.Caps, at simtime.Time, free plan.Caps, offer simtime.Time) (Decision, plan.Caps) {
-	ranks, err := p.cfg.Policy.Rank(w)
-	if err != nil {
-		return Decision{Verdict: Reject, Reason: "unrankable: " + err.Error(), CounterOffer: offer}, free
+func (p *pipeline) deferOrReject(w *workflow.Workflow, m *probeMemo, eff plan.Caps, at simtime.Time, free plan.Caps, offer simtime.Time) (Decision, plan.Caps) {
+	if m.rankErr != nil {
+		return Decision{Verdict: Reject, Reason: "unrankable: " + m.rankErr.Error(), CounterOffer: offer}, free
 	}
+	// EndsWithin returns the ledger's reused buffer; nothing in either loop
+	// calls it again, and the second call starts after the first loop ends.
 	for _, t := range p.ledger.EndsWithin(at, w.Deadline) {
 		cand := p.ledger.FreeOver(t, w.Deadline, eff)
 		if cand.Maps < 1 || cand.Reduces < 1 || (cand.Maps <= free.Maps && cand.Reduces <= free.Reduces) {
 			continue
 		}
-		probe, err := plan.GenerateTyped(w, cand, p.cfg.Policy.Name(), ranks)
+		span, err := m.makespan(cand)
 		if err != nil {
 			continue
 		}
-		if probe.Makespan <= w.Deadline.Sub(t) {
+		if span <= w.Deadline.Sub(t) {
 			return Decision{Verdict: Defer, Reason: "awaiting-capacity", RetryAt: t}, free
 		}
 	}
@@ -532,11 +594,11 @@ func (p *pipeline) deferOrReject(w *workflow.Workflow, eff plan.Caps, at simtime
 		if cand.Maps < 1 || cand.Reduces < 1 {
 			continue
 		}
-		probe, err := plan.GenerateTyped(w, cand, p.cfg.Policy.Name(), ranks)
+		span, err := m.makespan(cand)
 		if err != nil {
 			continue
 		}
-		if o := t.Add(probe.Makespan); offer == simtime.Epoch || o < offer {
+		if o := t.Add(span); offer == simtime.Epoch || o < offer {
 			offer = o
 		}
 	}

@@ -52,7 +52,7 @@ func feasibleController(t *testing.T, caps plan.Caps, tenants map[string]admissi
 // door stays invisible to the simulator's alloc budgets (enforced again by
 // make ci's alloc-pins).
 func TestAlwaysAdmitAllocs(t *testing.T) {
-	if raceEnabled {
+	if admission.RaceEnabled {
 		t.Skip("race runtime inflates allocation counts; pin holds in regular builds")
 	}
 	w := flow("w", 0, time.Hour, 2, 1, 10*time.Second, 10*time.Second)

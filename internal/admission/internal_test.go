@@ -2,9 +2,11 @@ package admission
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/plan"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -101,13 +103,16 @@ func TestTenantAnchorsIndependent(t *testing.T) {
 
 // TestAnchorMapDrainsAfterTerminalRulings is the leak regression: 1k
 // deferred submissions across two tenants with colliding names are driven to
-// their terminal deferral-limit reject, and the anchor map must end empty —
-// every terminal path clears its entry, so a long-lived daemon's map stays
-// bounded by the currently-deferred population.
+// their terminal deferral-limit reject, and the anchor and probe-memo maps
+// must end empty — every terminal path clears both entries, so a long-lived
+// daemon's maps stay bounded by the currently-deferred population. The
+// feasible pipeline puts tenant b's admits through the feasibility stage, so
+// each of them builds a memo that its terminal admit must drop.
 func TestAnchorMapDrainsAfterTerminalRulings(t *testing.T) {
 	const n = 1000
 	ctrl, err := New(Config{
-		Mode:    ModeTokenBucket,
+		Cluster: plan.Caps{Maps: n + 10, Reduces: n + 10},
+		Mode:    ModeFeasible,
 		Tenants: map[string]Tenant{"a": {Rate: 1, Burst: 1}},
 	})
 	if err != nil {
@@ -145,6 +150,9 @@ func TestAnchorMapDrainsAfterTerminalRulings(t *testing.T) {
 	if got := p.anchorCount(); got != n {
 		t.Fatalf("anchorCount = %d after tenant b's admits, want %d untouched", got, n)
 	}
+	if got := p.memoCount(); got != 0 {
+		t.Fatalf("memoCount = %d after tenant b's terminal admits, want 0", got)
+	}
 
 	// Drive every deferred chain to its terminal deferral-limit reject and
 	// demand the map drains completely.
@@ -160,6 +168,123 @@ func TestAnchorMapDrainsAfterTerminalRulings(t *testing.T) {
 	}
 	if got := p.anchorCount(); got != 0 {
 		t.Fatalf("anchorCount = %d after every chain terminated, want 0", got)
+	}
+	if got := p.memoCount(); got != 0 {
+		t.Fatalf("memoCount = %d after every chain terminated, want 0", got)
+	}
+}
+
+// deferredOnFullCluster builds a feasible pipeline on a 4-map/2-reduce
+// cluster whose whole capacity is committed to w1 over [0s, 300s), then
+// rules on w3 (released at 50s, 300s of work at full capacity, deadline
+// 700s): it starves until w1 ends, so it defers awaiting capacity to 300s.
+func deferredOnFullCluster(t *testing.T) (*pipeline, *workflow.Workflow) {
+	t.Helper()
+	ctrl, err := New(Config{Cluster: plan.Caps{Maps: 4, Reduces: 2}, Mode: ModeFeasible})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ctrl.(*pipeline)
+	w1 := workflow.NewBuilder("w1").
+		Job("j", 8, 2, 100*time.Second, 100*time.Second).
+		MustBuild(simtime.Epoch, simtime.Epoch.Add(320*time.Second))
+	if d := p.Decide(w1, nil, w1.Release); d.Verdict != Admit {
+		t.Fatalf("w1 = %+v, want admit", d)
+	}
+	w3 := workflow.NewBuilder("w3").
+		Job("j", 8, 2, 100*time.Second, 100*time.Second).
+		MustBuild(simtime.Epoch.Add(50*time.Second), simtime.Epoch.Add(700*time.Second))
+	if d := p.Decide(w3, nil, w3.Release); d.Verdict != Defer || d.Reason != "awaiting-capacity" {
+		t.Fatalf("w3 = %+v, want awaiting-capacity defer", d)
+	}
+	return p, w3
+}
+
+// TestWarmReRulingRunsNoSimulation pins the probe memo's purpose: ruling
+// again on a deferred submission against an unchanged ledger reaches the
+// same verdict without a single new typed simulation (every simulation the
+// memo runs appends one span). A terminal ruling then drops the memo.
+func TestWarmReRulingRunsNoSimulation(t *testing.T) {
+	p, w := deferredOnFullCluster(t)
+	k := keyOf(w)
+	m := p.memos[k]
+	if m == nil || len(m.spans) == 0 {
+		t.Fatalf("deferred ruling left memo %+v, want probed spans", m)
+	}
+	sims := len(m.spans)
+	first := p.records[len(p.records)-1]
+
+	// Rewind the anchor to the first ruling's instant: same ledger, same
+	// window, so the re-ruling must be served entirely from the memo.
+	p.anchors[k] = anchor{at: w.Release, defers: 1}
+	d := p.Decide(w, nil, w.Release)
+	if got := p.records[len(p.records)-1]; got != first || d != first.Decision {
+		t.Fatalf("re-ruling %+v (record %+v), want the first ruling %+v", d, got, first)
+	}
+	if p.memos[k] != m || len(m.spans) != sims {
+		t.Fatalf("re-ruling ran %d new simulations, want 0", len(m.spans)-sims)
+	}
+
+	p.anchors[k] = anchor{at: w.Release, defers: maxDeferrals}
+	if d := p.Decide(w, nil, w.Release); d.Verdict != Reject || d.Reason != "deferral-limit" {
+		t.Fatalf("Decide = %+v, want deferral-limit reject", d)
+	}
+	if got := p.memoCount(); got != 0 {
+		t.Fatalf("memoCount = %d after the terminal ruling, want 0", got)
+	}
+}
+
+// TestWarmReRulingAllocs pins the warm re-ruling of a deferred submission
+// at zero allocations: memo hits, the ledger's reused EndsWithin buffer and
+// FreeOver's value results leave nothing to allocate (make alloc-pins).
+func TestWarmReRulingAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race runtime inflates allocation counts; pin holds in regular builds")
+	}
+	p, w := deferredOnFullCluster(t)
+	k := keyOf(w)
+	p.records = slices.Grow(p.records, 2000) // keep the audit log's growth out of the count
+	if got := testing.AllocsPerRun(1000, func() {
+		p.anchors[k] = anchor{at: w.Release, defers: 1}
+		p.Decide(w, nil, w.Release)
+	}); got != 0 {
+		t.Errorf("%v allocs per warm re-ruling, want 0", got)
+	}
+}
+
+// TestMemoReplacedForNewWorkflow pins the memo's identity check: a
+// different *Workflow submitted under a deferred submission's (tenant,
+// name) is a new job set, so its ruling must replace the entry rather than
+// read makespans simulated for the old one.
+func TestMemoReplacedForNewWorkflow(t *testing.T) {
+	p, old := deferredOnFullCluster(t)
+	k := keyOf(old)
+	// Same name, twice the map work: 500s at full capacity instead of 300s.
+	// Ruled at the old chain's first instant it still starves until w1
+	// ends, and the later deadline lets it defer, keeping its memo alive.
+	w := workflow.NewBuilder(old.Name).
+		Job("j", 16, 2, 100*time.Second, 100*time.Second).
+		MustBuild(old.Release, simtime.Epoch.Add(900*time.Second))
+	p.anchors[k] = anchor{at: old.Release, defers: 1}
+	if d := p.Decide(w, nil, w.Release); d.Verdict != Defer {
+		t.Fatalf("new submission = %+v, want defer", d)
+	}
+	m := p.memos[k]
+	if m == nil || m.w != w {
+		t.Fatalf("memo after the new submission = %+v, want an entry for the new workflow", m)
+	}
+	ranks, err := p.cfg.Policy.Rank(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.spans) == 0 {
+		t.Fatal("new submission's memo has no spans")
+	}
+	for _, s := range m.spans {
+		want, err := plan.TypedMakespan(w, s.caps, ranks)
+		if err != nil || s.makespan != want {
+			t.Errorf("memo span at %+v = %v, want %v (err %v): stale entry served", s.caps, s.makespan, want, err)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package admission
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/simtime"
@@ -40,6 +40,7 @@ func (c Commitment) covers(t simtime.Time) bool { return c.Start <= t && t < c.E
 type Ledger struct {
 	cluster plan.Caps
 	commits []Commitment
+	ends    []simtime.Time // EndsWithin's reused result buffer
 }
 
 // NewLedger returns an empty ledger over the given cluster capacity.
@@ -202,20 +203,18 @@ func (l *Ledger) NextTenantEnd(tenant string, after simtime.Time) (simtime.Time,
 }
 
 // EndsWithin returns the distinct commitment ends in (t0, t1), ascending —
-// the candidate retry instants at which capacity frees up.
+// the candidate retry instants at which capacity frees up. The result
+// aliases a buffer the ledger reuses, so each call is allocation-free once
+// warm: it stays valid until the next EndsWithin call, and callers must not
+// retain it past that or mutate it.
 func (l *Ledger) EndsWithin(t0, t1 simtime.Time) []simtime.Time {
-	var ends []simtime.Time
+	ends := l.ends[:0]
 	for _, c := range l.commits {
 		if c.End > t0 && c.End < t1 {
 			ends = append(ends, c.End)
 		}
 	}
-	sort.Slice(ends, func(a, b int) bool { return ends[a] < ends[b] })
-	out := ends[:0]
-	for i, e := range ends {
-		if i == 0 || e != ends[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
+	slices.Sort(ends)
+	l.ends = ends
+	return slices.Compact(ends)
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package admission_test
+package admission
 
-// raceEnabled is false in regular builds; see race_on_test.go.
-const raceEnabled = false
+// RaceEnabled is false in regular builds; see race_on_test.go.
+const RaceEnabled = false

@@ -24,23 +24,46 @@ type Probe func(cap int) (*Plan, error)
 // speculative caps the sequential search would never visit must not.
 type CapSearcher func(lo, hi int, target time.Duration, probe Probe) (best *Plan, probes int, err error)
 
-// SequentialSearch is the seed implementation of CapSearcher: the plain
-// binary search of GenerateCappedMargin, one probe at a time.
-func SequentialSearch(lo, hi int, target time.Duration, probe Probe) (*Plan, int, error) {
-	var best *Plan
-	probes := 0
+// Bisect is the resource-cap binary search of Section IV-A over [lo, hi],
+// one probe at a time. probe reports only the simulated makespan at a cap,
+// so callers that never need the plan itself build none. A cap whose
+// makespan meets target narrows hi to it, any other narrows lo past it.
+// Bisect returns the last cap that met the target and its makespan (best is
+// 0 when none did; caps are positive), plus the number of probes that ran.
+// A probe error aborts the search.
+func Bisect(lo, hi int, target time.Duration, probe func(cap int) (time.Duration, error)) (best int, makespan time.Duration, probes int, err error) {
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		p, err := probe(mid)
+		m, err := probe(mid)
 		if err != nil {
-			return nil, probes, err
+			return 0, 0, probes, err
 		}
 		probes++
-		if p.Makespan <= target {
-			best, hi = p, mid
+		if m <= target {
+			best, makespan, hi = mid, m, mid
 		} else {
 			lo = mid + 1
 		}
+	}
+	return best, makespan, probes, nil
+}
+
+// SequentialSearch is the seed implementation of CapSearcher: Bisect over
+// full plans, keeping the plan of the cap the bisection settles on.
+func SequentialSearch(lo, hi int, target time.Duration, probe Probe) (*Plan, int, error) {
+	var best *Plan
+	_, _, probes, err := Bisect(lo, hi, target, func(cap int) (time.Duration, error) {
+		p, err := probe(cap)
+		if err != nil {
+			return 0, err
+		}
+		if p.Makespan <= target {
+			best = p
+		}
+		return p.Makespan, nil
+	})
+	if err != nil {
+		return nil, probes, err
 	}
 	return best, probes, nil
 }

@@ -32,26 +32,49 @@ func (c Caps) Total() int { return c.Maps + c.Reduces }
 // GenerateTyped is safe for concurrent use; simulator state is drawn from an
 // internal pool.
 func GenerateTyped(w *workflow.Workflow, caps Caps, policyName string, ranks []int) (*Plan, error) {
-	if caps.Maps <= 0 || caps.Reduces < 0 || caps.Total() <= 0 {
-		return nil, fmt.Errorf("plan: bad typed caps %+v", caps)
-	}
-	if len(ranks) != len(w.Jobs) {
-		return nil, fmt.Errorf("plan: %d ranks for %d jobs", len(ranks), len(w.Jobs))
+	if err := checkTyped(w, caps, ranks); err != nil {
+		return nil, err
 	}
 	s := typedSimPool.Get().(*typedSim)
 	defer typedSimPool.Put(s)
 	return generateTypedWith(s, w, caps, policyName, ranks)
 }
 
+// TypedMakespan returns the makespan GenerateTyped reports for the same
+// arguments, failing exactly when GenerateTyped fails, without assembling
+// the plan: it runs the same pooled simulation but builds no Reqs and copies
+// no ranks. Callers that only compare makespans — admission's feasibility
+// probes — use it to keep each probe allocation-free.
+func TypedMakespan(w *workflow.Workflow, caps Caps, ranks []int) (time.Duration, error) {
+	if err := checkTyped(w, caps, ranks); err != nil {
+		return 0, err
+	}
+	s := typedSimPool.Get().(*typedSim)
+	defer typedSimPool.Put(s)
+	s.reset(w, caps, ranks)
+	return s.run()
+}
+
+// checkTyped validates GenerateTyped's and TypedMakespan's arguments.
+func checkTyped(w *workflow.Workflow, caps Caps, ranks []int) error {
+	if caps.Maps <= 0 || caps.Reduces < 0 || caps.Total() <= 0 {
+		return fmt.Errorf("plan: bad typed caps %+v", caps)
+	}
+	if len(ranks) != len(w.Jobs) {
+		return fmt.Errorf("plan: %d ranks for %d jobs", len(ranks), len(w.Jobs))
+	}
+	return nil
+}
+
 // generateTypedWith runs the typed simulation on an explicit simulator, so
 // benchmarks can compare pooled against freshly allocated state.
 func generateTypedWith(s *typedSim, w *workflow.Workflow, caps Caps, policyName string, ranks []int) (*Plan, error) {
 	s.reset(w, caps, ranks)
-	raw, makespan, err := s.run()
+	makespan, err := s.run()
 	if err != nil {
 		return nil, err
 	}
-	return assemble(w, policyName, ranks, caps.Total(), makespan, raw)
+	return assemble(w, policyName, ranks, caps.Total(), makespan, s.raw)
 }
 
 // TypedCapsFor maps a total slot budget onto typed caps in the cluster's
@@ -205,7 +228,10 @@ func (s *typedSim) deactivate(j workflow.JobID) {
 	s.active = s.active[:len(s.active)-1]
 }
 
-func (s *typedSim) run() ([]rawReq, time.Duration, error) {
+// run simulates to completion and returns the makespan; the scheduling
+// requests are left in s.raw for assemble. It fails when a job is never
+// fully scheduled or the requests do not account for every task.
+func (s *typedSim) run() (time.Duration, error) {
 	var end simtime.Time
 	for s.events.Len() > 0 {
 		// One heap drain per instant; apply never pushes, so the batch is
@@ -263,10 +289,17 @@ func (s *typedSim) run() ([]rawReq, time.Duration, error) {
 	}
 	for i := range s.w.Jobs {
 		if s.remMaps[i] > 0 || s.remReds[i] > 0 {
-			return nil, 0, fmt.Errorf("plan: job %q never fully scheduled (typed sim internal error)", s.w.Jobs[i].Name)
+			return 0, fmt.Errorf("plan: job %q never fully scheduled (typed sim internal error)", s.w.Jobs[i].Name)
 		}
 	}
-	return s.raw, end.Duration(), nil
+	cum := 0
+	for _, r := range s.raw {
+		cum += r.count
+	}
+	if total := s.w.TotalTasks(); cum != total {
+		return 0, fmt.Errorf("plan: simulation scheduled %d tasks, workflow has %d", cum, total)
+	}
+	return end.Duration(), nil
 }
 
 func (s *typedSim) apply(e typedEvent) {
