@@ -31,14 +31,14 @@ fmt-check:
 
 # Quick race pass over the hottest concurrent paths: shared-planner
 # coalescing, runner streaming, the deadline-health tracker fed by
-# concurrent heartbeats on both control-plane layouts (plus the introspection
-# server and the heartbeat zero-alloc pin that guards the disabled path), and
-# the admission pipeline whose anchors and probe memos sit under one mutex
-# shared by every tracker shard.
+# concurrent heartbeats and the scripted assignment-stream golden (plus the
+# introspection server and the heartbeat zero-alloc pin that guards the
+# disabled path), and the admission pipeline whose anchors and probe memos
+# sit under one mutex shared by every tracker shard.
 race-smoke:
 	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestRunEach|TestDelivery|TestFirstError' \
 		./internal/planner/ ./internal/runner/
-	$(GO) test -race -count=1 -run 'TestHealth|TestIntrospection|TestHeartbeatBareAllocs' \
+	$(GO) test -race -count=1 -run 'TestHealth|TestShardedScriptedStreamGolden|TestIntrospection|TestHeartbeatBareAllocs' \
 		./internal/obs/ ./internal/live/
 	$(GO) test -race -count=1 -run 'TestAdmissionLayouts|TestAdmissionDecisions|TestRecordStreamGolden|TestAnchorMap|TestWarmReRuling|TestMemo' \
 		./internal/admission/ ./internal/live/
@@ -93,8 +93,8 @@ bench-plan-shared:
 bench-sim:
 	$(GO) run ./cmd/wohabench -sim-bench-out BENCH_sim.json
 
-# Regenerate the committed live heartbeat contention numbers (sharded vs
-# legacy single-mutex JobTracker at 1/4/16/64 concurrent trackers).
+# Regenerate the committed live heartbeat contention numbers (one-shard vs
+# sharded JobTracker at 1/4/16/64 concurrent trackers).
 bench-live:
 	$(GO) run ./cmd/wohabench -live-bench-out BENCH_live.json
 

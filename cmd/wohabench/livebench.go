@@ -18,15 +18,15 @@ import (
 // concurrent TaskTrackers: N goroutines hammer DeliverHeartbeat directly
 // (no transport, no tracker sleep loop), mostly with busy reports and every
 // eighth beat completing its held tasks and offering slots — the mix a
-// loaded Hadoop master sees. The sharded control plane (Shards=GOMAXPROCS)
-// is compared against the legacy single-mutex tracker (Shards=1) at 1, 4,
-// 16, and 64 trackers.
+// loaded Hadoop master sees. The tracker with one shard (Shards=1) is
+// compared against the sharded tracker (Shards=GOMAXPROCS) at 1, 4, 16, and
+// 64 trackers.
 
 // liveBenchReport is the JSON document -live-bench-out writes.
 type liveBenchReport struct {
 	// GoMaxProcs records the core budget: with one core, concurrent
-	// trackers interleave instead of running in parallel, so the sharded
-	// layout can only show lower synchronization overhead, not scaling.
+	// trackers interleave instead of running in parallel, so more shards
+	// can only show lower synchronization overhead, not scaling.
 	GoMaxProcs int    `json:"go_max_procs"`
 	GoVersion  string `json:"go_version"`
 	// ShardsSharded is the shard count the "sharded" modes ran with.
@@ -85,7 +85,7 @@ func liveBenchCluster(shards int) (*live.Cluster, error) {
 	return c, nil
 }
 
-// liveBenchMeasure runs one (layout, tracker-count) cell and reports
+// liveBenchMeasure runs one (shard-count, tracker-count) cell and reports
 // throughput and latency percentiles across every heartbeat served.
 func liveBenchMeasure(name string, shards, trackers int) (liveBenchMode, error) {
 	c, err := liveBenchCluster(shards)
@@ -145,7 +145,7 @@ func liveBenchMeasure(name string, shards, trackers int) (liveBenchMode, error) 
 	}, nil
 }
 
-// runLiveBench sweeps both tracker layouts across the tracker counts and
+// runLiveBench sweeps both shard counts across the tracker counts and
 // writes the JSON report to path ("-" for stdout),
 // echoing a summary through emitReport.
 func runLiveBench(path string, out io.Writer) error {
@@ -157,7 +157,7 @@ func runLiveBench(path string, out io.Writer) error {
 		// Still exercise the sharded pipeline; without cores the comparison
 		// shows synchronization overhead, not parallel speedup.
 		report.ShardsSharded = 4
-		report.Note = fmt.Sprintf("measured with GOMAXPROCS=%d: concurrent trackers interleave on one core, so sharded-vs-legacy deltas reflect per-heartbeat synchronization cost only; re-baseline on a multi-core host to see contention relief", report.GoMaxProcs)
+		report.Note = fmt.Sprintf("measured with GOMAXPROCS=%d: concurrent trackers interleave on one core, so one-shard-vs-sharded deltas reflect per-heartbeat synchronization cost only; re-baseline on a multi-core host to see contention relief", report.GoMaxProcs)
 	}
 	report.Workload.Workflows = liveBenchFlows
 	report.Workload.MapsPerWorkflow = liveBenchMaps
@@ -165,14 +165,14 @@ func runLiveBench(path string, out io.Writer) error {
 	report.Workload.BeatsPerTracker = liveBenchBeats
 
 	for _, trackers := range []int{1, 4, 16, 64} {
-		for _, layout := range []struct {
+		for _, mode := range []struct {
 			name   string
 			shards int
 		}{
-			{"legacy", 1},
+			{"one-shard", 1},
 			{"sharded", report.ShardsSharded},
 		} {
-			m, err := liveBenchMeasure(layout.name, layout.shards, trackers)
+			m, err := liveBenchMeasure(mode.name, mode.shards, trackers)
 			if err != nil {
 				return err
 			}
@@ -184,7 +184,7 @@ func runLiveBench(path string, out io.Writer) error {
 		fmt.Fprintf(out, "live heartbeat benchmark (%d workflows, %d beats/tracker, GOMAXPROCS=%d):\n",
 			liveBenchFlows, liveBenchBeats, report.GoMaxProcs)
 		for _, m := range report.Modes {
-			fmt.Fprintf(out, "  %-8s shards=%-2d trackers=%-3d %10.0f beats/sec  p50 %6dns  p99 %8dns\n",
+			fmt.Fprintf(out, "  %-9s shards=%-2d trackers=%-3d %10.0f beats/sec  p50 %6dns  p99 %8dns\n",
 				m.Name, m.Shards, m.Trackers, m.HeartbeatsPerSec, m.P50Ns, m.P99Ns)
 		}
 		if report.Note != "" {

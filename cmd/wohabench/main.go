@@ -8,9 +8,9 @@
 // writes the numbers as JSON. With -sim-bench-out it benchmarks simulation
 // throughput over the Fig 8 corpus (serial vs 8-worker runner; see
 // internal/runner). With -live-bench-out it benchmarks live JobTracker
-// heartbeat service under concurrent TaskTrackers (sharded vs legacy
-// single-mutex control plane; see internal/live). With -queue-bench-out it
-// microbenchmarks the four inter-workflow queue backends in isolation
+// heartbeat service under concurrent TaskTrackers (one shard vs one shard
+// per core; see internal/live). With -queue-bench-out it microbenchmarks
+// the four inter-workflow queue backends in isolation
 // (steady-state decision round-trips at 1k/10k/100k queued workflows; see
 // internal/dsl). With -admission-bench-out it runs the admission front door's
 // rejected-vs-missed trade-off sweep (always-admit vs the feasible controller
@@ -57,7 +57,7 @@ func main() {
 	pmOut := flag.String("postmortem-out", "", "replay the Fig 11 scenario under WOHA-LPF with event capture and write the miss root-cause JSON report to this file")
 	benchOut := flag.String("bench-out", "", "benchmark plan-generation throughput and write the JSON report to this file (- for stdout); skips the figure sweep")
 	simBenchOut := flag.String("sim-bench-out", "", "benchmark simulation throughput over the Fig 8 corpus (serial vs 8 workers) and write the JSON report to this file (- for stdout); skips the figure sweep")
-	liveBenchOut := flag.String("live-bench-out", "", "benchmark live JobTracker heartbeat service under concurrent trackers (sharded vs legacy single-mutex) and write the JSON report to this file (- for stdout); skips the figure sweep")
+	liveBenchOut := flag.String("live-bench-out", "", "benchmark live JobTracker heartbeat service under concurrent trackers (one shard vs GOMAXPROCS shards, or 4 below 2 cores) and write the JSON report to this file (- for stdout); skips the figure sweep")
 	queueBenchOut := flag.String("queue-bench-out", "", "microbenchmark the four inter-workflow queue backends (steady-state decision round-trips at 1k/10k/100k queued workflows) and write the JSON report to this file (- for stdout); skips the figure sweep")
 	admBenchOut := flag.String("admission-bench-out", "", "run the admission rejected-vs-missed trade-off sweep (always-admit vs feasible front door over a shrinking cluster) and write the JSON report to this file (- for stdout); skips the figure sweep")
 	fedBenchOut := flag.String("federation-bench-out", "", "run the federation miss-rate-vs-staleness sweep (Yahoo population routed over member clusters with bounded-staleness load snapshots) and write the JSON report to this file (- for stdout); skips the figure sweep")

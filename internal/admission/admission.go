@@ -1,7 +1,7 @@
 // Package admission is the cluster's front door: every workflow submission —
-// the batch facade, the discrete-event simulator, and both live JobTracker
-// layouts — flows through one AdmissionController.Decide seam before it
-// reaches a scheduling queue.
+// the batch facade, the discrete-event simulator, and the live JobTracker —
+// flows through one AdmissionController.Decide seam before it reaches a
+// scheduling queue.
 //
 // The paper admits every workflow unconditionally, so a hopeless deadline
 // becomes a guaranteed miss that pollutes the miss-rate figures and steals
@@ -75,14 +75,14 @@ type Decision struct {
 }
 
 // Controller is the submission seam. Implementations must be safe for
-// concurrent use: the sharded live tracker may rule on releases from several
+// concurrent use: the live JobTracker may rule on releases from several
 // heartbeat goroutines.
 //
 // Decisions are anchored in virtual time: a controller bases its first ruling
 // on w.Release and a retry ruling on the RetryAt it previously returned, not
 // on the control plane's possibly-later now. Submissions ruled in the same
-// order therefore receive identical decisions on every control-plane layout
-// (pinned by the cross-layout equivalence test in internal/live).
+// order therefore receive identical decisions on every control plane and
+// shard count (pinned by the admission goldens in internal/live).
 type Controller interface {
 	// Name identifies the controller configuration ("always", "feasible",
 	// "token-bucket").

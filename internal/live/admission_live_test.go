@@ -1,8 +1,9 @@
 package live_test
 
 import (
+	"bytes"
 	"context"
-	"reflect"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/priority"
-	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
 
@@ -23,7 +23,7 @@ type decisionAudit interface {
 }
 
 // feasibleDoor builds a fresh feasibility controller sized to fastConfig's
-// cluster. Controllers are stateful, so every layout gets its own.
+// cluster. Controllers are stateful, so every run gets its own.
 func feasibleDoor(t *testing.T) admission.Controller {
 	t.Helper()
 	ctrl, err := admission.New(admission.Config{
@@ -36,12 +36,29 @@ func feasibleDoor(t *testing.T) admission.Controller {
 	return ctrl
 }
 
+// encodeAdmission renders a run's decision records and per-workflow refusal
+// fields canonically, one per line. Records: workflow, tenant, anchor (ns),
+// free caps, verdict, reason, RetryAt (ns), CounterOffer (ns). Rows:
+// workflow, rejected, reason, CounterOffer (ns), in submission order.
+func encodeAdmission(recs []admission.Record, res *live.Result) []byte {
+	var buf bytes.Buffer
+	for _, r := range recs {
+		fmt.Fprintf(&buf, "record\t%s\t%s\t%d\t%d/%d\t%s\t%q\t%d\t%d\n",
+			r.Workflow, r.Tenant, int64(r.Anchor), r.Free.Maps, r.Free.Reduces,
+			r.Decision.Verdict, r.Decision.Reason, int64(r.Decision.RetryAt), int64(r.Decision.CounterOffer))
+	}
+	for _, w := range res.Workflows {
+		fmt.Fprintf(&buf, "row\t%s\t%t\t%q\t%d\n", w.Name, w.Rejected, w.RejectReason, int64(w.CounterOffer))
+	}
+	return buf.Bytes()
+}
+
 // TestAdmissionDecisionsAgreeAcrossLayouts runs the same released workload
-// through the legacy tracker and the sharded tracker at several widths, each
-// behind its own feasibility front door, and checks the layouts produce
-// identical decision records and identical per-workflow refusal fields. The
-// anchoring contract makes this exact: rulings anchor at release times, not
-// at the control-plane instants the layouts reach them.
+// through the tracker at every shard count, each behind its own feasibility
+// front door, and checks every run reproduces the committed decision records
+// and per-workflow refusal fields. The anchoring contract makes this exact:
+// rulings anchor at release times, not at the control-plane instants the
+// heartbeats reach them.
 func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 	flows := func() []*workflow.Workflow {
 		return []*workflow.Workflow{
@@ -54,14 +71,7 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 			chainFlow("w3", 20*time.Second, 2*time.Hour),
 		}
 	}
-	type row struct {
-		rejected bool
-		reason   string
-		offer    simtime.Time
-	}
-	var wantRows map[string]row
-	var wantRecs []admission.Record
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range goldenShards {
 		ctrl := feasibleDoor(t)
 		cfg := shardedConfig(shards)
 		cfg.Admission = ctrl
@@ -84,33 +94,23 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Shards=%d: %v", shards, err)
 		}
-		rows := map[string]row{}
+		rejected := map[string]bool{}
 		for _, w := range res.Workflows {
-			rows[w.Name] = row{rejected: w.Rejected, reason: w.RejectReason, offer: w.CounterOffer}
+			rejected[w.Name] = w.Rejected
 		}
-		if !rows["w2"].rejected || rows["w1"].rejected || rows["w3"].rejected {
-			t.Fatalf("Shards=%d: refusal pattern %+v, want exactly w2 rejected", shards, rows)
+		if !rejected["w2"] || rejected["w1"] || rejected["w3"] {
+			t.Fatalf("Shards=%d: refusal pattern %v, want exactly w2 rejected", shards, rejected)
 		}
-		recs := ctrl.(decisionAudit).Records()
-		if wantRows == nil {
-			wantRows, wantRecs = rows, recs
-			continue
-		}
-		if !reflect.DeepEqual(rows, wantRows) {
-			t.Errorf("Shards=%d: outcome rows %+v differ from legacy %+v", shards, rows, wantRows)
-		}
-		if !reflect.DeepEqual(recs, wantRecs) {
-			t.Errorf("Shards=%d: decision records diverge from legacy:\n got %+v\nwant %+v", shards, recs, wantRecs)
-		}
+		checkGolden(t, "admission_decisions.golden", shards, encodeAdmission(ctrl.(decisionAudit).Records(), res))
 	}
 }
 
-// TestAdmissionLayoutsAgreeOnMultiTenantNames is the cross-layout equivalence
+// TestAdmissionLayoutsAgreeOnMultiTenantNames is the shard-count equivalence
 // check for the (Tenant, Name) anchor keying: two tenants submit same-named
 // workflows, one of them through a rate-limited defer chain whose anchor must
 // survive the other tenant's terminal rulings on the colliding names. Every
-// layout must produce identical decision records — including the Tenant and
-// Anchor fields — and identical per-workflow outcomes.
+// shard count must reproduce the committed decision records — including the
+// Tenant and Anchor fields — and per-workflow outcomes.
 func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 	door := func() admission.Controller {
 		ctrl, err := admission.New(admission.Config{
@@ -148,15 +148,7 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 			mk("beta", "w3", 45*time.Second, 100*time.Second),
 		}
 	}
-	type row struct {
-		name     string
-		rejected bool
-		reason   string
-		offer    simtime.Time
-	}
-	var wantRows []row
-	var wantRecs []admission.Record
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range goldenShards {
 		ctrl := door()
 		cfg := shardedConfig(shards)
 		cfg.Admission = ctrl
@@ -179,14 +171,10 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Shards=%d: %v", shards, err)
 		}
-		rows := make([]row, 0, len(res.Workflows))
-		for _, w := range res.Workflows {
-			rows = append(rows, row{name: w.Name, rejected: w.Rejected, reason: w.RejectReason, offer: w.CounterOffer})
-		}
 		recs := ctrl.(decisionAudit).Records()
-		for i, r := range rows {
-			if want := r.name == "w3"; r.rejected != want {
-				t.Fatalf("Shards=%d: refusal pattern %+v, want exactly the two w3 rows rejected (row %d)", shards, rows, i)
+		for i, w := range res.Workflows {
+			if want := w.Name == "w3"; w.Rejected != want {
+				t.Fatalf("Shards=%d: %s rejected = %t, want exactly the two w3 rows rejected (row %d)", shards, w.Name, w.Rejected, i)
 			}
 		}
 
@@ -212,15 +200,6 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 			t.Errorf("Shards=%d: alpha/w2 retry anchored at %v, want its RetryAt %v — defer chain was reset",
 				shards, retried.Anchor, deferred.Decision.RetryAt)
 		}
-		if shards == 1 {
-			wantRows, wantRecs = rows, recs
-			continue
-		}
-		if !reflect.DeepEqual(rows, wantRows) {
-			t.Errorf("Shards=%d: outcome rows %+v differ from legacy %+v", shards, rows, wantRows)
-		}
-		if !reflect.DeepEqual(recs, wantRecs) {
-			t.Errorf("Shards=%d: decision records diverge from legacy:\n got %+v\nwant %+v", shards, recs, wantRecs)
-		}
+		checkGolden(t, "admission_multitenant.golden", shards, encodeAdmission(recs, res))
 	}
 }

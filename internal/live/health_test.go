@@ -1,11 +1,13 @@
 package live_test
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -15,12 +17,12 @@ import (
 )
 
 // TestHealthCrossLayoutSnapshots drives concurrent heartbeats through the
-// health tracker on both control-plane layouts (Shards = 1 legacy mutex,
-// Shards = 4 pipeline) and demands identical slack snapshots at every
-// quiescent point. The script alternates two barriered phases per round —
-// all trackers report completions, then all trackers request work — so the
-// aggregate scheduled/completed counts at each barrier are layout- and
-// interleaving-independent even though the heartbeats inside a phase race.
+// health tracker at every shard count and demands the committed slack
+// snapshot at every quiescent point. The script alternates two barriered
+// phases per round — all trackers report completions, then all trackers
+// request work — so the aggregate scheduled/completed counts at each barrier
+// are shard- and interleaving-independent even though the heartbeats inside
+// a phase race.
 func TestHealthCrossLayoutSnapshots(t *testing.T) {
 	const (
 		trackers = 4
@@ -99,25 +101,58 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 		}
 	}
 
-	legacy := run(1)
-	sharded := run(4)
-	if len(legacy) != len(sharded) {
-		t.Fatalf("rounds diverged: legacy %d, sharded %d", len(legacy), len(sharded))
-	}
-	for i := range legacy {
-		if !reflect.DeepEqual(legacy[i], sharded[i]) {
-			t.Errorf("round %d snapshots differ:\nlegacy  %+v\nsharded %+v", i+1, legacy[i], sharded[i])
+	for _, shards := range goldenShards {
+		snaps := run(shards)
+		// The drive must have produced non-trivial health data, not
+		// vacuously equal empty snapshots.
+		final := snaps[len(snaps)-1]
+		if len(final.Workflows) != 4 {
+			t.Fatalf("Shards=%d: final snapshot has %d workflows, want 4", shards, len(final.Workflows))
 		}
+		for _, row := range final.Workflows {
+			if !row.Done || row.Completed != row.Total || !row.HasPlan {
+				t.Errorf("Shards=%d: final row = %+v, want done with all tasks completed and a plan", shards, row)
+			}
+		}
+		// One JSON snapshot per round.
+		var buf bytes.Buffer
+		for _, s := range snaps {
+			line, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(line)
+			buf.WriteByte('\n')
+		}
+		checkGolden(t, "health_snapshots.golden", shards, buf.Bytes())
 	}
-	// The drive must have produced non-trivial health data, not vacuously
-	// equal empty snapshots.
-	final := legacy[len(legacy)-1]
-	if len(final.Workflows) != 4 {
-		t.Fatalf("final snapshot has %d workflows, want 4", len(final.Workflows))
-	}
-	for _, row := range final.Workflows {
-		if !row.Done || row.Completed != row.Total || !row.HasPlan {
-			t.Errorf("final row = %+v, want done with all tasks completed and a plan", row)
+}
+
+// TestHealthReportsSlotCapacity checks that both cluster constructors hand
+// the health tracker the cluster's slot capacity, which /statusz reports as
+// map_slots and reduce_slots.
+func TestHealthReportsSlotCapacity(t *testing.T) {
+	for name, ctor := range map[string]func(live.Config, cluster.Policy) (*live.Cluster, error){
+		"New":    live.New,
+		"NewTCP": live.NewTCP,
+	} {
+		o := obs.New(obs.NewRegistry(), nil)
+		h := o.EnableHealth(obs.HealthConfig{Interval: time.Hour})
+		cfg := fastConfig()
+		cfg.Obs = o
+		c, err := ctor(cfg, scheduler.NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CloseTransport(); err != nil {
+			t.Errorf("%s: CloseTransport: %v", name, err)
+		}
+		snap := h.SnapshotAt(simtime.Epoch)
+		if want := cfg.Nodes * cfg.MapSlotsPerNode; snap.MapSlots != want {
+			t.Errorf("%s: map_slots = %d, want %d", name, snap.MapSlots, want)
+		}
+		if want := cfg.Nodes * cfg.ReduceSlotsPerNode; snap.ReduceSlots != want {
+			t.Errorf("%s: reduce_slots = %d, want %d", name, snap.ReduceSlots, want)
 		}
 	}
 }

@@ -8,14 +8,12 @@
 // so a 45-minute workflow can run in tens of milliseconds of test time while
 // the control plane exchanges real messages.
 //
-// Two control-plane layouts are available, selected by Config.Shards. The
-// legacy layout (Shards = 1) mirrors Hadoop-1's master exactly: one mutex
-// serializes every heartbeat. The sharded layout (the default) splits the
-// master into an admission/completion/assignment pipeline — per-workflow
-// bookkeeping shards, a narrow policy core fed by batched lifecycle events,
-// and lock-free counters — so heartbeats from different TaskTrackers stop
-// contending on one lock (see sharded.go). Both layouts produce the same
-// scheduling outcomes; the equivalence is pinned by tests.
+// The JobTracker splits Hadoop-1's single master lock into an
+// admission/completion/assignment pipeline — per-workflow bookkeeping shards
+// (Config.Shards), a narrow policy core fed by batched lifecycle events, and
+// lock-free counters — so heartbeats from different TaskTrackers stop
+// contending on one lock (see sharded.go). Scheduling outcomes are identical
+// for every shard count; the equivalence is pinned by golden tests.
 //
 // The package exists to demonstrate the framework under true concurrency —
 // races, heartbeat skew, out-of-order completions — rather than to produce
@@ -50,10 +48,9 @@ type Config struct {
 	// estimated at D runs for D * TimeScale. 0.001 runs a 10-second task
 	// in 10ms.
 	TimeScale float64
-	// Shards selects the JobTracker layout: 1 runs the legacy single-mutex
-	// tracker, larger values partition workflow bookkeeping across that many
-	// independently locked shards with a separate policy core and lock-free
-	// heartbeat fast path. 0 (the default) uses one shard per CPU
+	// Shards partitions the JobTracker's workflow bookkeeping across that
+	// many independently locked shards, beside a separate policy core and a
+	// lock-free heartbeat fast path. 0 (the default) uses one shard per CPU
 	// (GOMAXPROCS). Scheduling outcomes are identical across shard counts.
 	Shards int
 	// Obs attaches runtime observability to the JobTracker: heartbeat
@@ -62,7 +59,7 @@ type Config struct {
 	Obs *obs.Obs
 	// Admission is the front door consulted when each workflow's release
 	// comes due, before the policy ever sees it. nil (the default) admits
-	// everything on the untouched fast path. Both tracker layouts rule on
+	// everything on the untouched fast path. The JobTracker rules on
 	// releases in (release time, submission index) order and on deferred
 	// retries at their retry instants, so decisions match the simulator's
 	// under the controller's virtual-time anchoring.
@@ -135,41 +132,11 @@ type Heartbeat struct {
 	Completed []TaskID
 }
 
-// controlPlane is the JobTracker contract shared by the legacy single-mutex
-// tracker (Shards = 1) and the sharded admission/completion/assignment
-// pipeline (Shards > 1). register is pre-start only and single-threaded;
-// both implementations fail loudly if it is called after the clock starts.
-type controlPlane interface {
-	// Heartbeat serves one TaskTracker report and returns assignments.
-	Heartbeat(hb Heartbeat) []Assignment
-	// register records a workflow before the cluster starts.
-	register(w *workflow.Workflow, p *plan.Plan)
-	// start stamps the clock origin and freezes registration.
-	start()
-	// ensureClock stamps the clock lazily for heartbeats delivered outside
-	// Run (see Cluster.DeliverHeartbeat).
-	ensureClock()
-	// result snapshots the outcome.
-	result() *Result
-	// doneCh closes when every registered workflow has completed.
-	doneCh() <-chan struct{}
-	// registered reports the number of registered workflows.
-	registered() int
-}
-
-// newControlPlane picks the tracker layout for cfg.
-func newControlPlane(cfg Config, pol cluster.Policy) controlPlane {
-	if n := cfg.shardCount(); n > 1 {
-		return newShardedTracker(cfg, pol, n)
-	}
-	return newJobTracker(cfg, pol)
-}
-
 // Cluster is the live mini-Hadoop: one JobTracker plus Config.Nodes
 // TaskTracker goroutines.
 type Cluster struct {
 	cfg Config
-	jt  controlPlane
+	jt  *shardedTracker
 
 	trackers []*TaskTracker
 	wg       sync.WaitGroup
@@ -183,19 +150,30 @@ type Cluster struct {
 // New builds a live cluster running pol. The policy must not be shared with
 // any other cluster.
 func New(cfg Config, pol cluster.Policy) (*Cluster, error) {
+	return build(cfg, pol, (*Cluster).heartbeatDirect)
+}
+
+// build validates cfg and assembles the JobTracker and the TaskTrackers,
+// which deliver every heartbeat through deliver.
+func build(cfg Config, pol cluster.Policy, deliver func(*Cluster, Heartbeat) ([]Assignment, error)) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if pol == nil {
 		return nil, fmt.Errorf("live: nil policy")
 	}
-	c := &Cluster{cfg: cfg, jt: newControlPlane(cfg, pol)}
+	c := &Cluster{cfg: cfg, jt: newShardedTracker(cfg, pol, cfg.shardCount())}
 	cfg.Obs.Health().SetSlots(cfg.Nodes*cfg.MapSlotsPerNode, cfg.Nodes*cfg.ReduceSlotsPerNode)
+	hb := func(h Heartbeat) ([]Assignment, error) { return deliver(c, h) }
 	for i := 0; i < cfg.Nodes; i++ {
-		hb := func(h Heartbeat) ([]Assignment, error) { return c.jt.Heartbeat(h), nil }
 		c.trackers = append(c.trackers, newTaskTracker(i, cfg, hb))
 	}
 	return c, nil
+}
+
+// heartbeatDirect hands a heartbeat to the JobTracker in-process.
+func (c *Cluster) heartbeatDirect(h Heartbeat) ([]Assignment, error) {
+	return c.jt.Heartbeat(h), nil
 }
 
 // Submit registers a workflow before Start. p may be nil for non-WOHA
@@ -207,7 +185,7 @@ func (c *Cluster) Submit(w *workflow.Workflow, p *plan.Plan) error {
 	if err := w.Validated(); err != nil {
 		return fmt.Errorf("live: %w", err)
 	}
-	idx := c.jt.registered()
+	idx := len(c.jt.wfs)
 	c.jt.register(w, p)
 	c.cfg.Obs.Health().Register(idx, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
 	return nil
@@ -220,7 +198,6 @@ func (c *Cluster) Submit(w *workflow.Workflow, p *plan.Plan) error {
 // started. After the first delivery registration is frozen, exactly as
 // after Run.
 func (c *Cluster) DeliverHeartbeat(hb Heartbeat) []Assignment {
-	c.jt.ensureClock()
 	return c.jt.Heartbeat(hb)
 }
 
@@ -231,7 +208,7 @@ func (c *Cluster) Run(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("live: Run called twice")
 	}
 	c.started = true
-	if c.jt.registered() == 0 {
+	if len(c.jt.wfs) == 0 {
 		return c.jt.result(), nil
 	}
 
@@ -249,7 +226,7 @@ func (c *Cluster) Run(ctx context.Context) (*Result, error) {
 
 	var err error
 	select {
-	case <-c.jt.doneCh():
+	case <-c.jt.done:
 	case <-ctx.Done():
 		err = fmt.Errorf("live: %w", ctx.Err())
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/workflow"
 )
 
-// policyEvent kinds, in the order the legacy tracker would have delivered
-// the equivalent synchronous policy calls.
+// policyEvent kinds: the workflow lifecycle transitions bookkeeping reports
+// to the policy core.
 type policyEventKind int
 
 const (
@@ -60,8 +60,7 @@ func newPolicyCore(pol cluster.Policy) *policyCore {
 // apply delivers one event's policy notifications and returns how many tasks
 // the event made schedulable (the fast-path hint delta). The caller holds
 // core.mu and the exclusive plane lock, so reading workflow state here is
-// race-free and the state a notification observes matches what the legacy
-// tracker's synchronous call would have seen.
+// race-free.
 func (st *shardedTracker) apply(e *policyEvent) int64 {
 	ws := e.wf.ws
 	switch e.kind {

@@ -19,14 +19,10 @@ import (
 // Close the returned cluster with CloseTransport after Run to release the
 // listener and client connections.
 func NewTCP(cfg Config, pol cluster.Policy) (*Cluster, error) {
-	if err := cfg.validate(); err != nil {
+	c, err := build(cfg, pol, (*Cluster).heartbeatTCP)
+	if err != nil {
 		return nil, err
 	}
-	if pol == nil {
-		return nil, fmt.Errorf("live: nil policy")
-	}
-	c := &Cluster{cfg: cfg, jt: newControlPlane(cfg, pol)}
-
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("JobTracker", &rpcJobTracker{jt: c.jt}); err != nil {
 		return nil, fmt.Errorf("live: registering RPC service: %w", err)
@@ -45,18 +41,18 @@ func NewTCP(cfg Config, pol cluster.Policy) (*Cluster, error) {
 			return nil, fmt.Errorf("live: dialing JobTracker: %w", err)
 		}
 		c.transport.clients = append(c.transport.clients, client)
-		hb := func(client *rpc.Client) heartbeatFunc {
-			return func(h Heartbeat) ([]Assignment, error) {
-				var out []Assignment
-				if err := client.Call("JobTracker.Heartbeat", h, &out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-		}(client)
-		c.trackers = append(c.trackers, newTaskTracker(i, cfg, hb))
 	}
 	return c, nil
+}
+
+// heartbeatTCP delivers a heartbeat over the reporting tracker's own client
+// connection.
+func (c *Cluster) heartbeatTCP(h Heartbeat) ([]Assignment, error) {
+	var out []Assignment
+	if err := c.transport.clients[h.Tracker].Call("JobTracker.Heartbeat", h, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // TransportAddr returns the JobTracker listener's address for clusters
@@ -77,10 +73,10 @@ func (c *Cluster) CloseTransport() error {
 	return c.transport.close()
 }
 
-// rpcJobTracker adapts the control plane's Heartbeat to the net/rpc method
+// rpcJobTracker adapts the JobTracker's Heartbeat to the net/rpc method
 // shape.
 type rpcJobTracker struct {
-	jt controlPlane
+	jt *shardedTracker
 }
 
 // Heartbeat is the exported RPC method.

@@ -15,10 +15,9 @@ import (
 	"repro/internal/workflow"
 )
 
-// shardedTracker is the concurrent live master (Config.Shards > 1). Where
-// the legacy JobTracker funnels every heartbeat through one mutex, this
-// tracker splits the work into three layers with independent
-// synchronization:
+// shardedTracker is the live master. Where Hadoop-1's JobTracker funnels
+// every heartbeat through one mutex, this tracker splits the work into three
+// layers with independent synchronization:
 //
 //  1. Bookkeeping (admission + completion accounting) takes the plane lock
 //     shared plus the owning workflow's shard lock, so heartbeats reporting
@@ -39,7 +38,7 @@ import (
 // Lock ordering: core.mu → plane (write) and plane (read) → shard.mu; a
 // shard lock is never held while taking core.mu or the plane write lock.
 //
-// Scheduling outcomes are identical to the legacy tracker: events reach the
+// Scheduling outcomes do not depend on the shard count: events reach the
 // policy in each workflow's transition order (pushes happen under the shard
 // lock), and every event is applied before the next assignment decision.
 type shardedTracker struct {
@@ -91,6 +90,13 @@ type shardedTracker struct {
 	doneOnce sync.Once
 }
 
+// deferredRelease is a workflow whose admission decision was postponed to a
+// retry instant.
+type deferredRelease struct {
+	wf int
+	at simtime.Time
+}
+
 func newShardedTracker(cfg Config, pol cluster.Policy, nShards int) *shardedTracker {
 	st := &shardedTracker{
 		cfg:  cfg,
@@ -126,11 +132,9 @@ func (st *shardedTracker) register(w *workflow.Workflow, p *plan.Plan) {
 }
 
 // start stamps the clock origin, builds the release index, and freezes
-// registration.
-func (st *shardedTracker) start() { st.ensureClock() }
-
-// ensureClock stamps the clock origin if start() has not run.
-func (st *shardedTracker) ensureClock() {
+// registration. Run calls it; the first heartbeat calls it when none has run
+// (see Cluster.DeliverHeartbeat).
+func (st *shardedTracker) start() {
 	st.startOnce.Do(func() {
 		st.rel.build(st.wfs)
 		clk := &virtualClock{start: time.Now(), scale: st.cfg.TimeScale}
@@ -138,12 +142,6 @@ func (st *shardedTracker) ensureClock() {
 		st.live.Store(true)
 	})
 }
-
-// doneCh closes when every registered workflow has completed.
-func (st *shardedTracker) doneCh() <-chan struct{} { return st.done }
-
-// registered reports the number of registered workflows.
-func (st *shardedTracker) registered() int { return len(st.wfs) }
 
 // Heartbeat serves one TaskTracker report through the three-layer pipeline:
 // lock-free clock/cursor reads, shared-lock bookkeeping only when the report
@@ -157,7 +155,7 @@ func (st *shardedTracker) Heartbeat(hb Heartbeat) []Assignment {
 	}
 	clk := st.clock.Load()
 	if clk == nil {
-		st.ensureClock()
+		st.start()
 		clk = st.clock.Load()
 	}
 	now := clk.now()
@@ -187,8 +185,8 @@ func (st *shardedTracker) Heartbeat(hb Heartbeat) []Assignment {
 // plane lock, taking each workflow's shard lock only for its own updates.
 // Completions are grouped by contiguous workflow runs so a report full of
 // same-workflow tasks locks its shard once. Due releases and deferred
-// retries are ruled in (decision instant, release-before-retry) merged
-// order, matching the legacy tracker and the simulator's event order.
+// retries are ruled in (decision instant, release-before-retry, submission
+// index) merged order, matching the simulator's event order.
 func (st *shardedTracker) bookkeep(due []int, retries []deferredRelease, completed []TaskID, tracker int, now simtime.Time) {
 	st.plane.RLock()
 	i, j := 0, 0
@@ -378,7 +376,7 @@ func (st *shardedTracker) activateDependents(lw *liveWorkflow, job workflow.JobI
 }
 
 // assignPhase is the exclusive pipeline: drain pending events into the
-// policy, then run the legacy assignment loops. Holding core.mu serializes
+// policy, then fill the free map and reduce slots. Holding core.mu serializes
 // the single-threaded policy; holding the plane write lock freezes all
 // bookkeeping so the policy's reads of workflow state are race-free.
 func (st *shardedTracker) assignPhase(hb Heartbeat, now simtime.Time, clk *virtualClock) []Assignment {
@@ -447,9 +445,8 @@ func (st *shardedTracker) drainEvents() {
 	st.events.recycle(batch)
 }
 
-// assignOne mirrors the legacy tracker's assign: consult the policy, debit
-// the chosen job's pending counter, and stamp the task. The caller holds the
-// pipeline locks.
+// assignOne consults the policy, debits the chosen job's pending counter,
+// and stamps the task. The caller holds the pipeline locks.
 func (st *shardedTracker) assignOne(slot cluster.SlotType, tracker int, now simtime.Time, clk *virtualClock) (Assignment, bool) {
 	ws, job, ok := st.core.pol.NextTask(now, slot)
 	if !ok {

@@ -1,7 +1,9 @@
 package live_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,9 +19,8 @@ import (
 	"repro/internal/workflow"
 )
 
-// shardedConfig is fastConfig with the sharded tracker forced on, so the
-// tests exercise the concurrent pipeline even on single-core hosts where the
-// GOMAXPROCS default would select the legacy layout.
+// shardedConfig is fastConfig with an explicit shard count, so the tests
+// pin the shard count they exercise instead of taking the GOMAXPROCS default.
 func shardedConfig(shards int) live.Config {
 	cfg := fastConfig()
 	cfg.Shards = shards
@@ -52,13 +53,12 @@ func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int) []live
 	}
 }
 
-// TestShardedMatchesLegacyScripted pins outcome equivalence in the strongest
+// TestShardedScriptedStreamGolden pins scheduling outcomes in the strongest
 // form: under a time-independent policy (FIFO ignores the clock) and a
-// serial heartbeat script, the sharded tracker must produce byte-identical
-// assignment streams to the legacy single-mutex tracker, for every shard
-// count.
-func TestShardedMatchesLegacyScripted(t *testing.T) {
-	build := func(shards int) *live.Cluster {
+// serial heartbeat script, every shard count must reproduce the committed
+// assignment stream byte for byte.
+func TestShardedScriptedStreamGolden(t *testing.T) {
+	for _, shards := range goldenShards {
 		c, err := live.New(shardedConfig(shards), scheduler.NewFIFO())
 		if err != nil {
 			t.Fatal(err)
@@ -72,18 +72,17 @@ func TestShardedMatchesLegacyScripted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return c
-	}
-	want := driveScripted(t, build(1), 2, 1)
-	if len(want) != 3*14 {
-		t.Fatalf("legacy stream has %d assignments, want 42", len(want))
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := driveScripted(t, build(shards), 2, 1)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Shards=%d assignment stream diverges from legacy (%d vs %d assignments)",
-				shards, len(got), len(want))
+		stream := driveScripted(t, c, 2, 1)
+		if len(stream) != 3*14 {
+			t.Fatalf("Shards=%d: stream has %d assignments, want 42", shards, len(stream))
 		}
+		// One assignment per line: workflow, job, slot type, sequence
+		// number, wall time (ns).
+		var buf bytes.Buffer
+		for _, a := range stream {
+			fmt.Fprintf(&buf, "%d\t%d\t%d\t%d\t%d\n", a.ID.Workflow, a.ID.Job, a.ID.Type, a.ID.Seq, int64(a.WallTime))
+		}
+		checkGolden(t, "scripted_fifo.golden", shards, buf.Bytes())
 	}
 }
 
@@ -222,7 +221,7 @@ func TestShardedConcurrentDirectHeartbeats(t *testing.T) {
 }
 
 // TestShardedRunWithTrackers runs the full TaskTracker goroutine cluster on
-// the sharded layout (the path Run exercises on multi-core hosts).
+// four shards.
 func TestShardedRunWithTrackers(t *testing.T) {
 	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
 	if err != nil {
@@ -252,29 +251,25 @@ func TestShardedRunWithTrackers(t *testing.T) {
 	}
 }
 
-// TestRegisterAfterStartPanics pins the loud failure both tracker layouts
-// promise when registration races the running cluster.
+// TestRegisterAfterStartPanics pins the loud failure the tracker promises
+// when registration races the running cluster.
 func TestRegisterAfterStartPanics(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		c, err := live.New(shardedConfig(shards), scheduler.NewFIFO())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Submit(chainFlow("w", 0, time.Hour), nil); err != nil {
-			t.Fatal(err)
-		}
-		// Freeze registration the way tests and benchmarks do: a direct
-		// heartbeat stamps the clock.
-		c.DeliverHeartbeat(live.Heartbeat{Tracker: 0})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Shards=%d: register after start did not panic", shards)
-				}
-			}()
-			_ = c.Submit(chainFlow("late", 0, time.Hour), nil)
-		}()
+	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := c.Submit(chainFlow("w", 0, time.Hour), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Freeze registration the way tests and benchmarks do: a direct
+	// heartbeat stamps the clock.
+	c.DeliverHeartbeat(live.Heartbeat{Tracker: 0})
+	defer func() {
+		if recover() == nil {
+			t.Error("register after start did not panic")
+		}
+	}()
+	_ = c.Submit(chainFlow("late", 0, time.Hour), nil)
 }
 
 // TestShardedObsMetrics checks the sharded tracker's dedicated instruments:

@@ -29,7 +29,7 @@ type liveWorkflow struct {
 	finish simtime.Time
 }
 
-// releaseIndex replaces the legacy O(workflows)-per-heartbeat release scan:
+// releaseIndex avoids an O(workflows)-per-heartbeat release scan:
 // registrations are sorted by release time once at start, and heartbeats
 // check a single atomic cursor against the next release time. The arrays are
 // immutable after build; only the cursor moves. Claiming due workflows takes
