@@ -64,9 +64,11 @@ ci: fmt-check vet test race-smoke alloc-pins
 # Seeded forced-miss scenario through the full attribution pipeline: two
 # feasible workflows contend for one map slot, at least one misses, and the
 # test asserts the postmortem JSON is non-empty and schema-valid — naming the
-# missed workflow, its first unmet F_i, and the critical-path stage.
+# missed workflow, its first unmet F_i, and the critical-path stage. Plus the
+# same capture ring rendered as a Perfetto trace (wohasim -trace-out on the
+# Fig 11 scenario), checked for both track groups.
 postmortem-smoke:
-	$(GO) test -count=1 -v -run 'TestPostmortemSmoke' ./cmd/wohasim/
+	$(GO) test -count=1 -v -run 'TestPostmortemSmoke|TestWriteTrace' ./cmd/wohasim/
 
 # Seeded overload through the feasibility front door: four identical
 # workflows swamp a 4-map/2-reduce cluster, so at least one is rejected, and
@@ -112,9 +114,12 @@ bench-admission:
 # Seeded federation determinism smoke: three member clusters under every
 # router policy, run twice each, asserting byte-identical routing decisions
 # and miss vectors — plus the single-member staleness-0 equivalence against a
-# plain cluster.Sim run of the same workload.
+# plain cluster.Sim run of the same workload in release order, and wohasim's
+# -clusters 2 run with a feasibility front door on each member (admitted +
+# rejected adds up to the workload, one admission summary per member).
 federation-smoke:
 	$(GO) test -count=1 -v -run 'TestFederationDeterminism|TestSingleClusterEquivalence' ./internal/federation/
+	$(GO) test -count=1 -v -run 'TestAdmissionAcrossClusters' ./cmd/wohasim/
 
 # Regenerate the committed federation numbers: the miss-rate-vs-staleness
 # sweep (Yahoo population, slack router, 4 member clusters).

@@ -1,7 +1,8 @@
 // Command wohabench regenerates the WOHA paper's evaluation figures on the
 // simulated cluster and prints each as a table. With -timeline-dir it also
-// writes the Fig 14-19 slot-allocation CSVs, and with -trace-out it records
-// the Fig 11 scenario as a Chrome trace-event file for Perfetto.
+// writes the Fig 14-19 slot-allocation CSVs. The Fig 11 scenario's event
+// captures come from wohasim: -workload fig7 with -trace-out (a Perfetto
+// trace) or -postmortem (the miss root-cause report).
 //
 // With -bench-out it instead benchmarks plan-generation throughput
 // (sequential vs parallel vs cached planner; see internal/planner) and
@@ -21,7 +22,7 @@
 //
 // Usage:
 //
-//	wohabench [-fig all|2|3|5|6|8|9|10|11|12|13a|13b] [-timeline-dir DIR] [-trace-out FILE]
+//	wohabench [-fig all|2|3|5|6|8|9|10|11|12|13a|13b] [-timeline-dir DIR]
 //	wohabench -bench-out BENCH_plan.json
 //	wohabench -sim-bench-out BENCH_sim.json
 //	wohabench -live-bench-out BENCH_live.json
@@ -46,15 +47,12 @@ import (
 	woha "repro"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/planner"
 )
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (all, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13a, 13b, ablations)")
 	timelineDir := flag.String("timeline-dir", "", "directory to write Fig 14-19 CSVs into (empty = skip)")
-	traceOut := flag.String("trace-out", "", "record the Fig 11 scenario under WOHA-LPF as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
-	pmOut := flag.String("postmortem-out", "", "replay the Fig 11 scenario under WOHA-LPF with event capture and write the miss root-cause JSON report to this file")
 	benchOut := flag.String("bench-out", "", "benchmark plan-generation throughput and write the JSON report to this file (- for stdout); skips the figure sweep")
 	simBenchOut := flag.String("sim-bench-out", "", "benchmark simulation throughput over the Fig 8 corpus (serial vs 8 workers) and write the JSON report to this file (- for stdout); skips the figure sweep")
 	liveBenchOut := flag.String("live-bench-out", "", "benchmark live JobTracker heartbeat service under concurrent trackers (one shard vs GOMAXPROCS shards, or 4 below 2 cores) and write the JSON report to this file (- for stdout); skips the figure sweep")
@@ -149,151 +147,11 @@ func main() {
 		return
 	}
 
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-	}
-	if *pmOut != "" {
-		if err := writePostmortem(*pmOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-	}
-	if (*traceOut != "" || *pmOut != "") && *fig == "all" && *timelineDir == "" {
-		finish()
-		return // capture flags alone: skip the full figure sweep
-	}
-
 	if err := run(*fig, *timelineDir, os.Stdout, ins); err != nil {
 		fmt.Fprintln(os.Stderr, "wohabench:", err)
 		os.Exit(1)
 	}
 	finish()
-}
-
-// writePostmortem replays the Fig 11 workload under WOHA-LPF with event
-// capture on, reconstructs every missed workflow's timeline, and writes the
-// root-cause report: JSON to path, text summary plus a per-miss table (with
-// a blame column) to out.
-func writePostmortem(path string, out io.Writer) error {
-	ring := woha.NewEventRing(1 << 20)
-	ins := woha.NewInstrumentation(nil, ring)
-	ins.EnableHealth(woha.HealthConfig{})
-	pl := woha.NewPlanner(
-		woha.WithPlanCache(256),
-		woha.WithPlanMargin(experiments.PlanMargin),
-		woha.WithInstrumentation(ins))
-	cfg := woha.ClusterConfig{Nodes: 32, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
-	sched, err := experiments.SchedulerByName("WOHA-LPF")
-	if err != nil {
-		return err
-	}
-	sess, err := woha.NewSession(cfg, woha.SchedulerWOHALPF,
-		woha.WithInstrumentation(ins), woha.WithPlanner(pl))
-	if err != nil {
-		return err
-	}
-	var specs []woha.PostmortemSpec
-	for i, w := range experiments.DefaultFig11Config().Flows() {
-		if err := sess.Submit(w); err != nil {
-			return err
-		}
-		// The shared cached planner already simulated this key for the
-		// session, so the spec's plan is a cache hit, not a second search.
-		p, err := pl.Plan(w, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, sched.Priority)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, woha.PostmortemSpec{Workflow: i, Spec: w, Plan: p})
-	}
-	if _, err := sess.Run(); err != nil {
-		return err
-	}
-	rep := woha.AnalyzePostmortem(ring.Events(), specs)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "postmortem report written to %s\n", path)
-	if err := rep.WriteText(out); err != nil {
-		return err
-	}
-	return postmortemTable(rep, out)
-}
-
-// postmortemTable renders one row per missed workflow with the attribution
-// condensed into a first-unmet-requirement column and a blame column.
-func postmortemTable(rep *woha.PostmortemReport, out io.Writer) error {
-	if len(rep.Missed) == 0 {
-		return nil
-	}
-	sec := func(us int64) string { return fmt.Sprintf("%.0fs", float64(us)/1e6) }
-	fmt.Fprintf(out, "%-12s %10s %10s %22s  %s\n",
-		"workflow", "deadline", "tardiness", "first-unmet-F_i", "blame")
-	for _, m := range rep.Missed {
-		fi := "-"
-		if rm := m.FirstUnmetReq; rm != nil {
-			fi = fmt.Sprintf("%d/%d at ttd=%s", rm.Scheduled, rm.Cum, sec(rm.TTDUS))
-		}
-		bl := "-"
-		if b := m.Blame; b != nil {
-			bl = fmt.Sprintf("j%d %s %s (wait %s, run %s)", b.Job, b.Name, b.Stage, sec(b.WaitUS), sec(b.RunUS))
-		}
-		if _, err := fmt.Fprintf(out, "%-12s %10s %10s %22s  %s\n",
-			m.Name, sec(m.DeadlineUS), sec(m.TardinessUS), fi, bl); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeTrace replays the Fig 11 workload (the 33-job demo topology x3) under
-// WOHA-LPF with event capture on and renders the run as a Perfetto-loadable
-// trace with per-tracker and per-workflow tracks.
-func writeTrace(path string, out io.Writer) error {
-	ring := woha.NewEventRing(1 << 16)
-	ins := woha.NewInstrumentation(nil, ring)
-	ins.EnableHealth(woha.HealthConfig{}) // slack counter tracks in the trace
-	sess, err := woha.NewSession(woha.ClusterConfig{
-		Nodes:              32,
-		MapSlotsPerNode:    2,
-		ReduceSlotsPerNode: 1,
-	}, woha.SchedulerWOHALPF, woha.WithInstrumentation(ins))
-	if err != nil {
-		return err
-	}
-	for _, w := range experiments.DefaultFig11Config().Flows() {
-		if err := sess.Submit(w); err != nil {
-			return err
-		}
-	}
-	if _, err := sess.Run(); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	events := ring.Events()
-	if err := woha.WriteTrace(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "trace: %d events written to %s (open in ui.perfetto.dev or chrome://tracing)\n",
-		len(events), path)
-	return nil
 }
 
 var validFigs = map[string]bool{

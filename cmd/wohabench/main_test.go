@@ -31,48 +31,6 @@ func TestRunFig2(t *testing.T) {
 	}
 }
 
-func TestWriteTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	var sb strings.Builder
-	if err := writeTrace(path, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "events written") {
-		t.Errorf("missing confirmation line:\n%s", sb.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The file must be the Chrome trace-event JSON object format with both
-	// track groups named via metadata events.
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-	var trackers, workflows bool
-	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "M" && ev["name"] == "process_name" {
-			if args, ok := ev["args"].(map[string]any); ok {
-				switch args["name"] {
-				case "trackers":
-					trackers = true
-				case "workflows":
-					workflows = true
-				}
-			}
-		}
-	}
-	if !trackers || !workflows {
-		t.Errorf("trace missing track metadata: trackers=%v workflows=%v", trackers, workflows)
-	}
-}
-
 func TestRunPlanBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var sb strings.Builder

@@ -2,52 +2,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"time"
 
 	woha "repro"
-	"repro/internal/plan"
 )
-
-// admissionOpts carries the front-door flags: the controller mode and the
-// per-tenant policy spec.
-type admissionOpts struct {
-	mode    string // "", always, feasible, or token-bucket
-	tenants string // "t1:rate=6,burst=2,quota=0.5,tier=1;t2:quota=0.25"
-}
-
-// controller builds the admission controller the flags select, plus the
-// tenant names (in spec order) for round-robin workflow assignment. All three
-// results are zero when no front door was requested.
-func (ao admissionOpts) controller(maps, reds int, ins *woha.Instrumentation) (woha.AdmissionController, []string, error) {
-	if ao.mode == "" {
-		if ao.tenants != "" {
-			return nil, nil, fmt.Errorf("-tenants requires -admission feasible or token-bucket")
-		}
-		return nil, nil, nil
-	}
-	tenants, names, err := parseTenants(ao.tenants)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ao.mode == woha.AdmissionModeAlways {
-		if len(names) > 0 {
-			return nil, nil, fmt.Errorf("-tenants has no effect under -admission always")
-		}
-		return woha.AlwaysAdmit(ins), nil, nil
-	}
-	ctrl, err := woha.NewAdmission(woha.AdmissionConfig{
-		Cluster: plan.Caps{Maps: maps, Reduces: reds},
-		Mode:    ao.mode,
-		Tenants: tenants,
-		Obs:     ins,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ctrl, names, nil
-}
 
 // parseTenants decodes the -tenants spec: semicolon-separated tenants, each
 // "name:key=value,..." with keys rate (admissions per virtual hour), burst,
@@ -127,9 +88,9 @@ func outcomeLabel(w woha.WorkflowResult, met string) string {
 	return met
 }
 
-// printAdmissionSummary reports the front door's aggregate outcome after a
-// run. A no-op without a controller.
-func printAdmissionSummary(adm woha.AdmissionController, flows []woha.WorkflowResult) {
+// printAdmissionSummary reports a front door's aggregate outcome over the
+// workflows it ruled on, prefixed by indent. A no-op without a controller.
+func printAdmissionSummary(out io.Writer, indent string, adm woha.AdmissionController, flows []woha.WorkflowResult) {
 	if adm == nil {
 		return
 	}
@@ -152,6 +113,6 @@ func printAdmissionSummary(adm woha.AdmissionController, flows []woha.WorkflowRe
 	if admitted > 0 {
 		ratio = float64(missed) / float64(admitted)
 	}
-	fmt.Printf("admission %s: %d admitted, %d rejected (%d counter-offered), miss ratio among admitted %.1f%%\n",
-		adm.Name(), admitted, rejected, offered, 100*ratio)
+	fmt.Fprintf(out, "%sadmission %s: %d admitted, %d rejected (%d counter-offered), miss ratio among admitted %.1f%%\n",
+		indent, adm.Name(), admitted, rejected, offered, 100*ratio)
 }

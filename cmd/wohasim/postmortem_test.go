@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,37 +40,21 @@ func TestPostmortemSmoke(t *testing.T) {
 	}
 	flows := []*woha.Workflow{parse(), parse()}
 
-	ring := woha.NewEventRing(1 << 20)
-	ins := woha.NewInstrumentation(nil, ring)
-	ins.EnableHealth(woha.HealthConfig{})
-	pl := planOpts{workers: 1, cache: 16}.shared(ins)
-	pm := &postmortemCapture{path: filepath.Join(dir, "postmortem.json"), ring: ring}
-	cfg := woha.ClusterConfig{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, Seed: 1}
-	if err := pm.addSpecs(flows, "WOHA-LPF", cfg.MapSlots(), cfg.ReduceSlots(), pl); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := woha.NewSession(cfg, woha.SchedulerWOHALPF,
-		woha.WithSeed(cfg.Seed), woha.WithInstrumentation(ins), woha.WithPlanner(pl))
+	pmPath := filepath.Join(dir, "postmortem.json")
+	s, err := parseSpec([]string{"-nodes", "1", "-map-slots", "1", "-reduce-slots", "1", "-seed", "1",
+		"-plan-cache", "16", "-postmortem", pmPath}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.SubmitAll(flows); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DeadlineMisses() == 0 {
-		t.Fatal("contended scenario did not force a deadline miss")
-	}
-
 	var out strings.Builder
-	if err := pm.write(&out); err != nil {
+	if err := s.execute(flows, &out); err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(out.String(), "MISS by") {
+		t.Fatalf("contended scenario did not force a deadline miss:\n%s", out.String())
+	}
 
-	raw, err := os.ReadFile(pm.path)
+	raw, err := os.ReadFile(pmPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,9 @@ func (js *JobState) Schedulable(st SlotType) bool {
 // WorkflowState is the runtime state of one submitted workflow, shared
 // between the simulator and the scheduling policy.
 type WorkflowState struct {
-	// Index is the workflow's arrival index, unique within a run.
+	// Index is the workflow's submission index: its position among the
+	// simulator's Submit and SubmitLive calls, unique within a run. It is
+	// not release order; the baselines break ties by it.
 	Index int
 	// Spec is the immutable workflow definition.
 	Spec *workflow.Workflow

@@ -107,14 +107,14 @@ type Options struct {
 type Scheduler struct {
 	opts  Options
 	queue dsl.Queue
-	// byID maps a workflow's arrival index to its runtime state. Arrival
-	// indices are dense, so the lookup tables are plain slices — the
-	// Ascend callback hits them once per considered workflow, and map
+	// byID maps a workflow's submission index to its runtime state.
+	// Submission indices are dense, so the lookup tables are plain slices —
+	// the Ascend callback hits them once per considered workflow, and map
 	// hashing was the scheduler's dominant cost on the Fig 8 corpus.
 	byID []*cluster.WorkflowState
-	// ranks maps a workflow's arrival index to its plan's job ranking.
+	// ranks maps a workflow's submission index to its plan's job ranking.
 	ranks [][]int
-	// sched maps a workflow's arrival index to its rank-ordered
+	// sched maps a workflow's submission index to its rank-ordered
 	// schedulable-job index (see wfSched).
 	sched []wfSched
 	// schedulable counts tasks currently startable per slot type, so a
@@ -184,7 +184,7 @@ func NewScheduler(opts Options) *Scheduler {
 	return s
 }
 
-// track records ws and its plan ranking under its arrival index, growing
+// track records ws and its plan ranking under its submission index, growing
 // the dense lookup tables as needed, and builds the workflow's rank-ordered
 // schedulable-job index. All jobs start non-schedulable from the policy's
 // point of view: JobActivated callbacks follow for root jobs.

@@ -39,7 +39,7 @@ import (
 
 // Entry is one workflow queued for scheduling.
 type Entry struct {
-	// ID uniquely identifies the workflow (its arrival index).
+	// ID uniquely identifies the workflow (its submission index).
 	ID int
 	// Deadline is the workflow's absolute deadline D_h.
 	Deadline simtime.Time
@@ -267,7 +267,7 @@ type reuser interface{ Reuses() int }
 type List struct {
 	ct   ordered.Set[ctKey]
 	prio prioIndex
-	// entries maps workflow ID (arrival index — dense by construction) to
+	// entries maps workflow ID (submission index — dense by construction) to
 	// its entry; nil slots are absent workflows.
 	entries []*Entry
 	count   int

@@ -12,7 +12,7 @@ import (
 // maximum, costing O(n_w) (or O(n_w log n_w) to produce a full ordering) per
 // slot free-up. Fig 13(a) shows it collapsing beyond ~10k queued workflows.
 type Naive struct {
-	// entries maps workflow ID (dense arrival index) to its entry; nil
+	// entries maps workflow ID (dense submission index) to its entry; nil
 	// slots are absent workflows.
 	entries []*Entry
 	count   int

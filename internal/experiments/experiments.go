@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/priority"
@@ -150,8 +151,15 @@ type SchedulerSpec struct {
 	Queue core.QueueKind
 }
 
-// New instantiates the policy. seed drives WOHA's skip-list PRNG.
-func (s SchedulerSpec) New(seed int64) cluster.Policy {
+// New instantiates the uninstrumented policy. seed drives WOHA's skip-list
+// PRNG.
+func (s SchedulerSpec) New(seed int64) cluster.Policy { return s.NewObserved(seed, nil) }
+
+// NewObserved is New with WOHA's queue statistics reporting to o (nil
+// disables them); the baselines keep no queue statistics and ignore o. This
+// is the one scheduler-name table: the woha facade and wohasim's members
+// build their policies through it too.
+func (s SchedulerSpec) NewObserved(seed int64, o *obs.Obs) cluster.Policy {
 	switch s.Name {
 	case "EDF":
 		return scheduler.NewEDF()
@@ -164,6 +172,7 @@ func (s SchedulerSpec) New(seed int64) cluster.Policy {
 			Queue:      s.Queue,
 			Seed:       seed,
 			PolicyName: s.Priority.Name(),
+			Obs:        o,
 		})
 	}
 }

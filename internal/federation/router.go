@@ -9,9 +9,14 @@
 //
 // Everything is deterministic: same members, same submissions, same router,
 // and same staleness interval reproduce byte-identical routing decisions and
-// per-workflow outcomes (pinned by TestFederationDeterminism), and a
+// per-workflow outcomes (pinned by TestFederationDeterminism). A
 // single-member federation at staleness 0 is byte-identical to a plain
-// cluster.Sim run of the same workload (TestSingleClusterEquivalence).
+// cluster.Sim run of the same workload submitted in release order
+// (TestSingleClusterEquivalence). The precondition matters: the federation
+// indexes workflows in release order, a plain run in submission order, and
+// EDF, Fair and FIFO break ties by that index. On the Yahoo workload (not
+// release-sorted) under EDF on 32 nodes, a plain run in input order misses
+// 37 of 46 deadlines and a one-member federation 30.
 package federation
 
 import (

@@ -103,7 +103,7 @@ type Event struct {
 	Kind Kind
 	// Time is the virtual (workflow) time of the event.
 	Time simtime.Time
-	// Workflow is the workflow's arrival index (-1 when not applicable).
+	// Workflow is the workflow's submission index (-1 when not applicable).
 	Workflow int
 	// Job is the job index within the workflow (-1 when not applicable).
 	Job int

@@ -126,7 +126,7 @@ type healthWF struct {
 }
 
 // Register adds one workflow to the health table before (or while) the run
-// starts. wf is the workflow's arrival index — the same index every Obs feed
+// starts. wf is the workflow's submission index — the same index every Obs feed
 // method reports. p may be nil (baseline schedulers): the workflow still
 // appears in snapshots, but has no slack, since slack is defined against a
 // plan's requirement list.
@@ -373,7 +373,7 @@ type HealthSnapshot struct {
 	Live     int `json:"live_workflows"`
 	Behind   int `json:"behind_workflows"`
 	MinSlack int `json:"min_slack"`
-	// Workflows holds one row per registered workflow, by arrival index.
+	// Workflows holds one row per registered workflow, by submission index.
 	Workflows []WorkflowHealth `json:"workflows"`
 }
 

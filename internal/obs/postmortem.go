@@ -19,7 +19,7 @@ const PostmortemSchema = "woha-postmortem/v1"
 // PostmortemSpec hands the analyzer the static side of one workflow: the DAG
 // (for job names and prerequisite edges) and, when the run used a WOHA
 // scheduler, the scheduling plan (for the progress requirement list F_i).
-// Workflow is the arrival index, matching Event.Workflow.
+// Workflow is the submission index, matching Event.Workflow.
 type PostmortemSpec struct {
 	Workflow int
 	Spec     *workflow.Workflow

@@ -9,7 +9,7 @@ package ordered
 // Keys must be unique under the set's comparator: inserting a key equal to an
 // existing one (neither less nor greater) is the caller's bug and the
 // behaviour is implementation-defined. The WOHA scheduler guarantees
-// uniqueness by composing every key with the workflow's arrival index.
+// uniqueness by composing every key with the workflow's submission index.
 type Set[K any] interface {
 	// Insert adds key to the set.
 	Insert(key K)

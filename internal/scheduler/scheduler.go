@@ -17,7 +17,7 @@ import (
 )
 
 // base provides the bookkeeping shared by the simple baselines: the live
-// workflows held sorted by arrival index. NextTask runs once per dispatch
+// workflows held sorted by submission index. NextTask runs once per dispatch
 // offer, so the set is kept ordered on mutation (arrivals and completions,
 // both rare) instead of sorted per read — the old map + per-call sort.Slice
 // was the baselines' dominant cost on the Fig 8 corpus.
@@ -50,7 +50,7 @@ func (b *base) WorkflowCompleted(ws *cluster.WorkflowState, _ simtime.Time) {
 	}
 }
 
-// ordered returns the live workflows sorted by arrival index, for
+// ordered returns the live workflows sorted by submission index, for
 // deterministic scans. Callers must not mutate the returned slice.
 func (b *base) ordered() []*cluster.WorkflowState {
 	return b.live

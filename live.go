@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/live"
+	"repro/internal/plan"
 )
 
 // LiveConfig configures the concurrent mini-Hadoop (see internal/live): the
@@ -18,20 +19,26 @@ type LiveResult = live.Result
 
 // LiveSession wires the live cluster to a scheduler, mirroring Session.
 type LiveSession struct {
-	cfg     ClusterConfig
-	liveCfg LiveConfig
+	caps    plan.Caps
 	prio    PriorityPolicy
+	planner *Planner
 	cluster *live.Cluster
-	margin  float64
 	ins     *Instrumentation
 }
 
 // NewLiveSession creates a live session. Set UseTCP to route heartbeats over
-// a real TCP loopback connection via net/rpc.
+// a real TCP loopback connection via net/rpc. It resolves options as
+// NewSession does: WithAdmission becomes the JobTracker's front door and the
+// plan-shaping options (WithPlanner, WithPlanCache, WithPlannerWorkers,
+// WithPlanMargin) shape Submit's plans. WithObserver is rejected: the live
+// cluster reports task lifecycle through WithInstrumentation only.
 func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...SessionOption) (*LiveSession, error) {
 	o := sessionOptions{margin: 0.85}
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if o.observer != nil {
+		return nil, fmt.Errorf("woha: NewLiveSession does not accept WithObserver; use WithInstrumentation")
 	}
 	pol := o.policy
 	if pol == nil {
@@ -42,41 +49,42 @@ func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...Sessio
 		}
 	}
 	pol = cluster.InstrumentPolicy(pol, o.obs)
-	// The JobTracker reads its instrumentation from the config.
+	s := &LiveSession{
+		caps: plan.Caps{Maps: cfg.Nodes * cfg.MapSlotsPerNode, Reduces: cfg.Nodes * cfg.ReduceSlotsPerNode},
+		prio: sched.priorityFor(),
+		ins:  o.obs,
+	}
+	if s.prio != nil {
+		var err error
+		if s.planner, err = o.resolvePlanner(); err != nil {
+			return nil, err
+		}
+	}
+	// The JobTracker reads its instrumentation and front door from the
+	// config.
 	cfg.Obs = o.obs
-	var (
-		c   *live.Cluster
-		err error
-	)
+	if o.admission != nil {
+		cfg.Admission = o.admission
+	}
+	var err error
 	if useTCP {
-		c, err = live.NewTCP(cfg, pol)
+		s.cluster, err = live.NewTCP(cfg, pol)
 	} else {
-		c, err = live.New(cfg, pol)
+		s.cluster, err = live.New(cfg, pol)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &LiveSession{
-		cfg: ClusterConfig{
-			Nodes:              cfg.Nodes,
-			MapSlotsPerNode:    cfg.MapSlotsPerNode,
-			ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
-		},
-		liveCfg: cfg,
-		prio:    sched.priorityFor(),
-		cluster: c,
-		margin:  o.margin,
-		ins:     o.obs,
-	}, nil
+	return s, nil
 }
 
 // Submit queues a workflow, generating its plan client-side under WOHA
 // schedulers.
 func (s *LiveSession) Submit(w *Workflow) error {
 	var p *Plan
-	if s.prio != nil {
+	if s.planner != nil {
 		var err error
-		p, err = GeneratePlanTyped(w, s.cfg.MapSlots(), s.cfg.ReduceSlots(), s.prio, s.margin)
+		p, err = s.planner.Plan(w, s.caps, s.prio)
 		if err != nil {
 			return fmt.Errorf("woha: %w", err)
 		}

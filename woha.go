@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/priority"
 	"repro/internal/runner"
-	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -227,38 +226,29 @@ func Schedulers() []Scheduler {
 	}
 }
 
+// spec resolves the scheduler in the experiments' scheduler table, the one
+// name-to-policy mapping every run path shares.
+func (s Scheduler) spec() (experiments.SchedulerSpec, error) {
+	spec, err := experiments.SchedulerByName(string(s))
+	if err != nil {
+		return spec, fmt.Errorf("woha: unknown scheduler %q", s)
+	}
+	return spec, nil
+}
+
 // priorityFor returns the WOHA intra-workflow policy, or nil for baselines.
 func (s Scheduler) priorityFor() PriorityPolicy {
-	switch s {
-	case SchedulerWOHALPF:
-		return LPF
-	case SchedulerWOHAHLF:
-		return HLF
-	case SchedulerWOHAMPF:
-		return MPF
-	default:
-		return nil
-	}
+	spec, _ := s.spec()
+	return spec.Priority
 }
 
 // newPolicy instantiates the scheduler. ins may be nil.
 func (s Scheduler) newPolicy(seed int64, ins *obs.Obs) (cluster.Policy, error) {
-	switch s {
-	case SchedulerFIFO:
-		return scheduler.NewFIFO(), nil
-	case SchedulerFair:
-		return scheduler.NewFair(), nil
-	case SchedulerEDF:
-		return scheduler.NewEDF(), nil
-	case SchedulerWOHALPF, SchedulerWOHAHLF, SchedulerWOHAMPF:
-		return core.NewScheduler(core.Options{
-			Seed:       seed,
-			PolicyName: s.priorityFor().Name(),
-			Obs:        ins,
-		}), nil
-	default:
-		return nil, fmt.Errorf("woha: unknown scheduler %q", s)
+	spec, err := s.spec()
+	if err != nil {
+		return nil, err
 	}
+	return spec.NewObserved(seed, ins), nil
 }
 
 // SessionOption customizes a Session.

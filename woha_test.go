@@ -61,6 +61,39 @@ func TestEverySchedulerRuns(t *testing.T) {
 	}
 }
 
+// TestSchedulerTableWiresQueueStats pins the facade's use of the shared
+// scheduler table: every name builds its own policy, and the WOHA ones
+// report their queue statistics to the session's instrumentation.
+func TestSchedulerTableWiresQueueStats(t *testing.T) {
+	for _, sched := range woha.Schedulers() {
+		reg := woha.NewMetrics()
+		sess, err := woha.NewSession(woha.ClusterConfig{
+			Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+		}, sched, woha.WithInstrumentation(woha.NewInstrumentation(reg, nil)))
+		if err != nil {
+			t.Fatalf("%s: %v", sched, err)
+		}
+		if err := sess.Submit(etl(t, "w", 2*time.Hour)); err != nil {
+			t.Fatalf("%s: %v", sched, err)
+		}
+		res, err := sess.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", sched, err)
+		}
+		if res.Policy != string(sched) {
+			t.Errorf("%s: Policy = %q", sched, res.Policy)
+		}
+		var scrape strings.Builder
+		if _, err := reg.WriteTo(&scrape); err != nil {
+			t.Fatal(err)
+		}
+		isWOHA := strings.HasPrefix(string(sched), "WOHA-")
+		if got := strings.Contains(scrape.String(), `woha_queue_inserts_total{queue="DSL"} 1`); got != isWOHA {
+			t.Errorf("%s: queue insert counted = %v, want %v", sched, got, isWOHA)
+		}
+	}
+}
+
 func TestUnknownScheduler(t *testing.T) {
 	_, err := woha.NewSession(woha.ClusterConfig{
 		Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
